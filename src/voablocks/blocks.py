@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import linalg
 from .scalars import Scalar
 from .series import FracLaurent
-from .voa import CutoffOverflow, DualModule, GradedVector, HeisenbergAlgebra, dual_pairing
+from .voa import CutoffOverflow, DualModule, GradedVector, HeisenbergAlgebra, dual_pairing, int_binomial
 
 S0 = Scalar.integer(0)
 S1 = Scalar.integer(1)
@@ -194,7 +194,7 @@ class RationalExpr:
                 sign = (-1) ** (e % 2) if big == j else 1
                 fac = {}
                 for m in range(max_m + 1):
-                    coef = Fraction(_int_binom(e, m)) * (-1) ** (m % 2) * sign
+                    coef = Fraction(int_binomial(e, m)) * (-1) ** (m % 2) * sign
                     if coef == 0:
                         continue
                     key = [0] * n
@@ -213,14 +213,6 @@ def _tadd(key, pos, e):
     return tuple(lst)
 
 
-def _int_binom(p, l):
-    if l < 0:
-        return 0
-    if p >= 0:
-        return math.comb(p, l) if l <= p else 0
-    return (-1) ** l * math.comb(l - p - 1, l)
-
-
 def _mpoly_mul(a, b):
     out = {}
     for k1, c1 in a.items():
@@ -234,10 +226,7 @@ def _mpoly_mul(a, b):
 def _series_power(s: FracLaurent, e: int, order):
     if e >= 0:
         return s**e
-    if len(s.terms) == 1 and s.trunc is None:
-        return s ** e
-    inv = s.inverse(order=order)
-    return inv ** (-e)
+    return s.inverse(order=order) ** (-e)
 
 
 # ---------------------------------------------------------------------------
@@ -546,41 +535,13 @@ def _form_atom_expansion(atom, point, order) -> FracLaurent:
     """Expansion of a 1-form atom at a marked point, in its local coordinate.
 
     Atoms: ("pole", x, m) for (zeta-x)^(-m) dzeta, ("poly", p) for zeta^p dzeta.
-    At a finite point the local coordinate is z = zeta - x_j; at infinity it
-    is z = 1/zeta, with dzeta = -z^(-2) dz.
+    At a finite point the local coordinate is z = zeta - x_j and dzeta = dz;
+    at infinity it is z = 1/zeta, with dzeta = -z^(-2) dz.  The two extra
+    orders there keep the truncation order after the shift by -2.
     """
-    kind = atom[0]
     if point is not INF:
-        xj = Scalar._coerce(point) if not isinstance(point, Scalar) else point
-        if kind == "pole":
-            _, x, m = atom
-            x = Scalar._coerce(x) if not isinstance(x, Scalar) else x
-            base = xj - x
-            if base.is_zero():
-                return FracLaurent("z", 1, {Fraction(-m): S1})
-            # (z + base)^(-m) = base^-m sum C(-m,t) (z/base)^t
-            terms = {}
-            for t in range(order + m + 1):
-                coef = Scalar.from_fraction(Fraction(_int_binom(-m, t))) * base ** (-m - t)
-                terms[Fraction(t)] = coef
-            return FracLaurent("z", 1, terms, order + m + 1)
-        _, p = atom
-        terms = {}
-        for t in range(p + 1):
-            terms[Fraction(t)] = Scalar.from_fraction(Fraction(math.comb(p, t))) * xj ** (p - t)
-        return FracLaurent("z", 1, terms)
-    # at infinity
-    if kind == "pole":
-        _, x, m = atom
-        x = Scalar._coerce(x) if not isinstance(x, Scalar) else x
-        # (1/z - x)^(-m) * (-z^-2) = -z^(m-2) (1 - x z)^(-m)
-        terms = {}
-        for t in range(order + 3):
-            coef = Scalar.from_fraction(Fraction(_int_binom(-m, t))) * (-x) ** t
-            terms[Fraction(m - 2 + t)] = -coef
-        return FracLaurent("z", 1, terms, order + m + 1)
-    _, p = atom
-    return FracLaurent("z", 1, {Fraction(-p - 2): -S1})
+        return _section_atom_expansion(atom, point, order)
+    return _section_atom_expansion(atom, INF, order + 2).shift(-2).scale(-1)
 
 
 def global_form_basis(points, bound: int):
@@ -694,7 +655,7 @@ def _section_atom_expansion(atom, point, order) -> FracLaurent:
                 return FracLaurent("z", 1, {Fraction(-m): S1})
             terms = {}
             for t in range(order + m + 1):
-                terms[Fraction(t)] = Scalar.from_fraction(Fraction(_int_binom(-m, t))) * base ** (-m - t)
+                terms[Fraction(t)] = Scalar.from_fraction(Fraction(int_binomial(-m, t))) * base ** (-m - t)
             return FracLaurent("z", 1, terms, order + m + 1)
         _, p = atom
         terms = {}
@@ -707,7 +668,7 @@ def _section_atom_expansion(atom, point, order) -> FracLaurent:
         # (1/z - x)^(-m) = z^m (1 - x z)^(-m)
         terms = {}
         for t in range(order + 3):
-            terms[Fraction(m + t)] = Scalar.from_fraction(Fraction(_int_binom(-m, t))) * (-x) ** t
+            terms[Fraction(m + t)] = Scalar.from_fraction(Fraction(int_binomial(-m, t))) * (-x) ** t
         return FracLaurent("z", 1, terms, order + m + 1)
     _, p = atom
     return FracLaurent("z", 1, {Fraction(-p): S1})

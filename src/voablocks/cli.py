@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .blocks import (
     INF,
+    _apply_field,
     heisenberg_correlator,
     propagate_eval,
     reconstruct_global,
@@ -74,7 +75,7 @@ def _fmt(scalar: Scalar, mode: str) -> str:
 class RunConfig:
     subcommand: str
     algebra: dict = field(default_factory=lambda: {"kind": "heisenberg"})
-    cutoffs: dict = field(default_factory=lambda: {"L": 24, "N": 8, "M": 12})
+    cutoffs: dict = field(default_factory=lambda: {"L": 24, "N": 8})
     points: list = field(default_factory=list)
     seed: int = 0
     mode: str = "exact"
@@ -112,7 +113,7 @@ class RunConfig:
         cfg.threads = obj.get("threads", 1)
         cfg.out = obj.get("out")
         cfg.params = obj.get("params", {})
-        for name, bound in (("L", 1), ("N", 0), ("M", 1)):
+        for name, bound in (("L", 1), ("N", 0)):
             if cfg.cutoffs.get(name, bound) < bound:
                 raise ConfigError(f"cutoffs.{name}", "must be positive")
         if cfg.mode not in ("exact", "float"):
@@ -274,21 +275,14 @@ def _run_sew(cfg: RunConfig):
         wp = _vector_from_json(Wd, cfg.params["wp"], "params.wp")
     else:
         wp = GradedVector(Wd, {m: Scalar.integer(1) for g in range(N + 1) for m in Wd.basis(g)})
+    field_at_1 = _apply_field(u, Scalar.integer(1), w, cfg.cutoffs["L"])
 
     def block(m, md):
         # pairing block times the one-point sphere block at 1 (Example-lb9 shape)
         total = dual_pairing(m, wp)
         if total.is_zero():
             return S0
-        inner = S0
-        for um, uc in u.terms.items():
-            for wm, wc in w.terms.items():
-                top = alg.weight(um) + W.weight(wm) - 1
-                for n in range(top - cfg.cutoffs["L"], top + 1):
-                    res = alg.mode_mono(um, n, wm, W)
-                    acted = GradedVector(W, {mm: cc * uc * wc for mm, cc in res.items()})
-                    inner = inner + dual_pairing(acted, md)
-        return total * inner
+        return total * dual_pairing(field_at_1, md)
 
     series = sew(block, W, N)
     lines = ["q_exponent\tcoefficient"]
@@ -551,7 +545,7 @@ def main(argv=None) -> int:
             cfg.params["grade"] = args.grade
         RunConfig.from_json(cfg.to_json())  # validate the effective config
         return run(cfg)
-    except ConfigError as exc:
+    except (ValueError, OSError) as exc:  # bad input: config, JSON, values, files
         sys.stderr.write(str(exc) + "\n")
         return 2
     except CutoffOverflow as exc:

@@ -27,30 +27,16 @@ S0 = Scalar.integer(0)
 S1 = Scalar.integer(1)
 
 
-def _is_zero_coef(c):
-    return c.is_zero()
-
-
-def _inv_coef(c):
-    if isinstance(c, Scalar):
-        return c.inverse()
-    return c.inverse()  # FracLaurent: exact for monomials
-
-
-def _pow_coef(c, h: int):
-    return c**h
-
-
 class CoordChange:
     __slots__ = ("c0", "cs")
 
     def __init__(self, c0, cs=()):
         c0 = c0 if isinstance(c0, (Scalar, FracLaurent)) else Scalar._coerce(c0)
-        if _is_zero_coef(c0):
+        if c0.is_zero():
             raise ValueError("c0 = rho'(0) must be nonzero")
         self.c0 = c0
         cs = [c if isinstance(c, (Scalar, FracLaurent)) else Scalar._coerce(c) for c in cs]
-        while cs and _is_zero_coef(cs[-1]):
+        while cs and cs[-1].is_zero():
             cs.pop()
         self.cs = tuple(cs)
 
@@ -98,7 +84,7 @@ def _flow_derivation(cs, poly):
     out = {}
     for m, coef in poly.items():
         for n, cn in enumerate(cs, start=1):
-            if _is_zero_coef(cn):
+            if cn.is_zero():
                 continue
             d = m + n
             term = cn * coef * m
@@ -131,10 +117,10 @@ def solve_coefficients(taylor) -> CoordChange:
     linearly with coefficient c0, all lower orders being already matched.
     """
     taylor = [a if isinstance(a, (Scalar, FracLaurent)) else Scalar._coerce(a) for a in taylor]
-    if not taylor or _is_zero_coef(taylor[0]):
+    if not taylor or taylor[0].is_zero():
         raise ValueError("a1 = rho'(0) must be nonzero; not a coordinate")
     c0 = taylor[0]
-    c0_inv = _inv_coef(c0)
+    c0_inv = c0.inverse()
     cs = []
     for n in range(1, len(taylor)):
         approx = taylor_coefficients(CoordChange(c0, cs + [S0]), n + 1)
@@ -148,7 +134,6 @@ def compose(rho1: CoordChange, rho2: CoordChange, order: int) -> CoordChange:
     t2 = taylor_coefficients(rho2, order)
     # polynomial composition with generic ring coefficients
     out = [S0] * order  # a_1 .. a_order
-    power = [S1] + [S0] * (order - 1)  # t2^e as coefficient list on z^1..z^order, e=0 -> 1*z^0 handled apart
     # build t2^e iteratively; t2 has no constant term so t2^e starts at z^e
     cur = None
     for e, a in enumerate(t1, start=1):
@@ -157,16 +142,16 @@ def compose(rho1: CoordChange, rho2: CoordChange, order: int) -> CoordChange:
         else:
             nxt = [S0] * order
             for i, x in enumerate(cur, start=1):
-                if _is_zero_coef(x):
+                if x.is_zero():
                     continue
                 for j, y in enumerate(t2, start=1):
-                    if i + j <= order and not _is_zero_coef(y):
+                    if i + j <= order and not y.is_zero():
                         nxt[i + j - 1] = nxt[i + j - 1] + x * y
             cur = nxt
-        if _is_zero_coef(a):
+        if a.is_zero():
             continue
         for i in range(order):
-            if not _is_zero_coef(cur[i]):
+            if not cur[i].is_zero():
                 out[i] = out[i] + a * cur[i]
     return solve_coefficients(out)
 
@@ -229,7 +214,7 @@ def kth_root_shift(k: int, order: int, s="s") -> CoordChange:
     taylor = []
     for m in range(1, order + 1):
         b = frac_binomial(Fraction(1, k), m)
-        coef = _pow_coef(base, 1 - m * k) * Scalar.from_fraction(b)
+        coef = base ** (1 - m * k) * Scalar.from_fraction(b)
         if isinstance(coef, FracLaurent) and set(coef.terms) <= {Fraction(0)} and coef.trunc is None:
             coef = coef.terms.get(Fraction(0), S0)  # k = 1: the exponent drops out
         taylor.append(coef)
@@ -251,7 +236,7 @@ def apply_coord_change(rho: CoordChange, w: GradedVector) -> GradedVector:
         while not summand.is_zero():
             step = GradedVector(w.space)
             for n, cn in enumerate(rho.cs, start=1):
-                if _is_zero_coef(cn):
+                if cn.is_zero():
                     continue
                 ln = virasoro_mode(n, summand)
                 if not ln.is_zero():
@@ -261,5 +246,5 @@ def apply_coord_change(rho: CoordChange, w: GradedVector) -> GradedVector:
             j += 1
         # c0^{L0}: scale each homogeneous output piece by c0^weight
         for hw, piece in acc.weight_components().items():
-            total = total + piece.scale(_pow_coef(rho.c0, hw))
+            total = total + piece.scale(rho.c0**hw)
     return total

@@ -149,10 +149,8 @@ class Scalar:
     @staticmethod
     def root_of_unity(k: int, power: int = 1) -> "Scalar":
         """The primitive k-th root with float value exp(-2*pi*i/k), raised to power."""
-        d = _field_degree(k)
         vec = [_ZERO] * (k + 1)
         vec[power % k] = Fraction(1)
-        del d  # degree >= 1 for every k; reduction may still demote
         vec = _reduce_mod_cyclotomic(vec, k)
         return Scalar._make_cyc(k, vec)
 

@@ -25,6 +25,12 @@ def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
 
+def _lower_bound(s):
+    # Lowest exponent s may hold: its valuation, or for a truncated zero its
+    # trunc, where its unknown terms start; None for the exact zero.
+    return min(s.terms) if s.terms else s.trunc
+
+
 class FracLaurent:
     __slots__ = ("var", "k", "terms", "trunc")
 
@@ -160,24 +166,10 @@ class FracLaurent:
             return NotImplemented
         self._check_var(other)
         # Truncation of a Cauchy product: unknown terms of one factor shift by
-        # the valuation of the other.
-        trunc = None
-        if self.trunc is not None or other.trunc is not None:
-            cands = []
-            if self.trunc is not None:
-                if other.is_zero() and other.trunc is None:
-                    cands.append(None)
-                else:
-                    vb = other.valuation()
-                    cands.append(None if vb is None else self.trunc + vb)
-            if other.trunc is not None:
-                if self.is_zero() and self.trunc is None:
-                    cands.append(None)
-                else:
-                    va = self.valuation()
-                    cands.append(None if va is None else other.trunc + va)
-            cands = [c for c in cands if c is not None]
-            trunc = min(cands) if cands else None
+        # the lower bound of the other.  An exact zero factor makes it exact.
+        cands = [a.trunc + _lower_bound(b) for a, b in ((self, other), (other, self))
+                 if a.trunc is not None and _lower_bound(b) is not None]
+        trunc = min(cands) if cands else None
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

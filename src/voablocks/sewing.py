@@ -32,7 +32,6 @@ class TrivialModule:
     """The one-dimensional module concentrated in grade zero (for fixtures)."""
 
     is_dual = False
-    module_key = ("trivial",)
     algebra = None
 
     def vacuum_mono(self):

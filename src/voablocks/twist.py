@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .blocks import heisenberg_correlator
+from .blocks import _apply_field, heisenberg_correlator
 from .coordchange import apply_coord_change, kth_root_shift
 from .scalars import Scalar, frac_binomial
 from .series import FracLaurent, binomial_expand
@@ -45,8 +45,10 @@ S1 = Scalar.integer(1)
 TVAR = "t"
 
 
-def _vec_key(v: GradedVector):
-    return tuple(sorted(((m, hash(c)) for m, c in v.terms.items()), key=repr))
+def _chart_corrected(k: int, v: GradedVector, point) -> GradedVector:
+    """Carry v from the z^k-chart to the z-chart at the root point ``point``:
+    the k-th-root coordinate change there, to the order v's weight needs."""
+    return apply_coord_change(kth_root_shift(k, v.max_weight() + 1, point), v)
 
 
 class TwistedModule:
@@ -90,31 +92,21 @@ class TwistedModule:
             FracLaurent.monomial(TVAR, 1, Scalar.root_of_unity(k, i)) for i in range(k)
         ]
 
-    def corrected_slots(self, monos, points):
-        """Per-slot chart correction: carry the constant section of the
-        z^k-chart to the z-chart at each root point."""
-        out = []
-        for mono, p in zip(monos, points):
-            v = GradedVector.state(self.tensor.base, mono)
-            order = self.tensor.base.weight(mono) + 1
-            rho = kth_root_shift(self.k, order, p)
-            out.append(apply_coord_change(rho, v))
-        return out
-
     def pairing_series(self, u: GradedVector, w_mono, wp_mono) -> FracLaurent:
         """<Y^g(u, z) w, w'> as an exact Laurent polynomial in t = z^(1/k)."""
         if u.space is not self.tensor:
             raise ValueError("u must be a tensor-power vector")
-        key = (_vec_key(u), w_mono, wp_mono)
+        key = (frozenset(u.terms.items()), w_mono, wp_mono)
         hit = self._series.get(key)
         if hit is not None:
             return hit
+        base = self.tensor.base
         pts = self.root_points()
         w = GradedVector.state(self.module, w_mono)
         wp = GradedVector.state(self.dual, wp_mono)
         total = FracLaurent.zero(TVAR, 1)
         for mono, coef in u.terms.items():
-            slots = self.corrected_slots(mono, pts)
+            slots = [_chart_corrected(self.k, GradedVector.state(base, m), p) for m, p in zip(mono, pts)]
             expr = heisenberg_correlator(slots, w, wp)
             if expr.is_zero():
                 continue
@@ -128,13 +120,11 @@ class TwistedModule:
         base = self.tensor.base
         if v.space is not base:
             raise ValueError("v must live in the base algebra")
-        key = (_vec_key(v), w_mono, wp_mono)
+        key = (frozenset(v.terms.items()), w_mono, wp_mono)
         hit = self._gen_series.get(key)
         if hit is not None:
             return hit
-        order = max(v.max_weight(), 1) + 1
-        rho = kth_root_shift(self.k, order, TVAR)
-        x = apply_coord_change(rho, v)
+        x = _chart_corrected(self.k, v, TVAR)
         w = GradedVector.state(self.module, w_mono)
         total = FracLaurent.zero(TVAR, 1)
         wp = GradedVector.state(self.dual, wp_mono)
@@ -185,9 +175,8 @@ class TwistedModule:
         base = self.tensor.base
         kn = int(self.k * n)
         phase_base = Scalar.root_of_unity(self.k, slot)
-        order = max(base.weight(v_mono), 1) + 1
-        rho = kth_root_shift(self.k, order, FracLaurent.monomial(TVAR, 1, phase_base))
-        x = apply_coord_change(rho, GradedVector.state(base, v_mono))
+        point = FracLaurent.monomial(TVAR, 1, phase_base)
+        x = _chart_corrected(self.k, GradedVector.state(base, v_mono), point)
         out = GradedVector(self.module)
         for b, coef in x.terms.items():
             bvec = GradedVector.state(base, b)
@@ -229,22 +218,11 @@ class TwistedModule:
         return out
 
     def generator_mode_apply(self, v: GradedVector, n, w: GradedVector) -> GradedVector:
-        """Y^g(v (x) 1 ... (x) 1)_n w through the generator formula."""
-        n = self.mode_index_lattice(n)
-        base = self.tensor.base
-        kn = int(self.k * n)
-        order = max(v.max_weight(), 1) + 1
-        rho = kth_root_shift(self.k, order, TVAR)
-        x = apply_coord_change(rho, v)
+        """Y^g(v (x) 1 ... (x) 1)_n w through the generator formula: the
+        slot-0 case of ``slot_mode_apply``, whose root point is t itself."""
         out = GradedVector(self.module)
-        for b, coef in x.terms.items():
-            bvec = GradedVector.state(base, b)
-            exps = coef.terms.items() if isinstance(coef, FracLaurent) else [(Fraction(0), coef)]
-            for e, ce in exps:
-                m = int(e) + kn + self.k - 1
-                acted = mode_action(bvec, m, w)
-                if not acted.is_zero():
-                    out = out + acted.scale(ce)
+        for vm, c in v.terms.items():
+            out = out + self.slot_mode_apply(vm, 0, n, w).scale(c)
         return out
 
     def mode_support(self, u: GradedVector, w: GradedVector, wp: GradedVector):
@@ -271,8 +249,8 @@ def factorization_check(tw: TwistedModule, u_slots, v_slots, w, wp, s_z, s_xi, s
     k = tw.k
     zpts = [Scalar.root_of_unity(k, i) * s_z for i in range(k)]
     xipts = [Scalar.root_of_unity(k, i) * s_xi for i in range(k)]
-    cu = _numeric_corrected(tw, u_slots, zpts)
-    cv = _numeric_corrected(tw, v_slots, xipts)
+    cu = [_chart_corrected(k, v, p) for v, p in zip(u_slots, zpts)]
+    cv = [_chart_corrected(k, v, p) for v, p in zip(v_slots, xipts)]
     both = heisenberg_correlator(cu + cv, w, wp)
     pts = dict(enumerate(zpts + xipts))
     oracle = both.evaluate(pts)
@@ -284,8 +262,6 @@ def factorization_check(tw: TwistedModule, u_slots, v_slots, w, wp, s_z, s_xi, s
     shells = []
     total = S0
     if len(nontrivial) <= 1:
-        from .blocks import _apply_field
-
         state = w
         for v, p in nontrivial:
             state = _apply_field(v, p, state, shell_cutoff)
@@ -322,18 +298,6 @@ def factorization_check(tw: TwistedModule, u_slots, v_slots, w, wp, s_z, s_xi, s
     return rel, total, oracle, shells
 
 
-def _numeric_corrected(tw, slots, points):
-    out = []
-    for v, p in zip(slots, points):
-        if v.is_zero():
-            out.append(v)
-            continue
-        order = max(v.max_weight(), 1) + 1
-        rho = kth_root_shift(tw.k, order, p)
-        out.append(apply_coord_change(rho, v))
-    return out
-
-
 def product_expansion_check(tw: TwistedModule, u: GradedVector, v_slots, w, wp, s_xi, order: int = 5):
     """Composition consistency: expanding the oracle function in the
     difference kappa = z_1^k - xi around the principal root reproduces the
@@ -351,8 +315,8 @@ def product_expansion_check(tw: TwistedModule, u: GradedVector, v_slots, w, wp, 
     rel = FracLaurent.monomial(kv, 1, xi.inverse())
     z1 = binomial_expand(s_xi, rel, Fraction(1, k), work)
     xipts = [Scalar.root_of_unity(k, i) * s_xi for i in range(k)]
-    cu = _numeric_corrected(tw, [u], [z1])[0]
-    cv = _numeric_corrected(tw, v_slots, xipts)
+    cu = _chart_corrected(k, u, z1)
+    cv = [_chart_corrected(k, v, p) for v, p in zip(v_slots, xipts)]
     expr = heisenberg_correlator([cu] + cv, w, wp)
     pts = {0: z1}
     for i, p in enumerate(xipts):
@@ -365,9 +329,9 @@ def product_expansion_check(tw: TwistedModule, u: GradedVector, v_slots, w, wp, 
         if inner.is_zero():
             continue
         total = S0
+        composed = tensor_vector(tw.tensor, [inner] + list(v_slots[1:]))
         for wm, wc in w.terms.items():
             for pm, pc in wp.terms.items():
-                composed = _tensor_with_first(tw, inner, v_slots[1:])
                 series = FracLaurent.zero(TVAR, 1)
                 for mono, coef in composed.terms.items():
                     series = series + tw.pairing_series(
@@ -379,10 +343,6 @@ def product_expansion_check(tw: TwistedModule, u: GradedVector, v_slots, w, wp, 
     rhs = rhs.truncate(order)
     ok = (lhs - rhs).truncate(order).is_zero()
     return ok, lhs, rhs
-
-
-def _tensor_with_first(tw, first: GradedVector, rest):
-    return tensor_vector(tw.tensor, [first] + list(rest))
 
 
 def eigencomponents(u: GradedVector, k: int) -> dict:

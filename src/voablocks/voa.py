@@ -391,10 +391,7 @@ class FockModule:
         self.algebra = algebra
         m = momentum
         self.momentum = m if isinstance(m, Scalar) else Scalar._coerce(m)
-
-    @property
-    def module_key(self):
-        return ("fock", self.momentum)
+        self.module_key = ("fock", self.momentum)
 
     @property
     def cutoff(self):
@@ -438,10 +435,6 @@ class DualModule:
             raise ValueError("double duals are identified with the base module")
         self.base = base
         self.algebra = base.algebra
-
-    @property
-    def module_key(self):
-        return ("dual",) + self.base.module_key
 
     @property
     def cutoff(self):

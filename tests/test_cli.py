@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from voablocks.cli import RunConfig, main
 
@@ -199,3 +202,57 @@ def test_overflow_surfaced_with_cutoff(tmp_path, capsys):
     assert status == 1
     err = capsys.readouterr().err
     assert "cutoff 2" in err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+GOLDEN_RUNS = {
+    "uc_solve": ["uc-solve", "--taylor", "3/2,-1/3,2,5"],
+    "commute_check": ["commute-check", "--config", str(GOLDEN / "commute_check.json")],
+    "propagate": ["propagate", "--config", str(GOLDEN / "propagate.json")],
+    "residue_check": ["residue-check"],
+    "sew": ["sew", "--cutoff-q", "8"],
+    "twist_check": ["twist-check", "--k", "2", "--grade", "2"],
+    "twist_modes": ["twist-modes", "--k", "3", "--grade", "1"],
+    "jacobi_check": ["jacobi-check", "--grade", "1", "--cutoff-grade", "12"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_output_matches_golden(name, capsys):
+    # stdout must stay byte-identical to the recorded reference output
+    assert main(GOLDEN_RUNS[name]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def _bad_json(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"subcommand": "sew",')
+    return ["sew", "--config", str(path)]
+
+
+def _unordered_points(tmp_path):
+    cfg = {
+        "subcommand": "propagate",
+        "points": ["2", "1"],
+        "params": {"insertions": [[{"monomial": [1]}], [{"monomial": [1]}]]},
+    }
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(cfg))
+    return ["propagate", "--config", str(path)]
+
+
+def _missing_config(tmp_path):
+    return ["sew", "--config", str(tmp_path / "missing.json")]
+
+
+@pytest.mark.parametrize(
+    "argv_for",
+    [_bad_json, lambda tmp_path: ["uc-solve", "--taylor", "0,1"], _unordered_points, _missing_config],
+    ids=["malformed-json", "degenerate-taylor", "unordered-points", "missing-config"],
+)
+def test_bad_input_gives_one_line_and_exit_2(argv_for, tmp_path, capsys):
+    assert main(argv_for(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1

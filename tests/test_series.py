@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voablocks.scalars import Scalar
 from voablocks.series import FracLaurent, TruncationError, binomial_expand
@@ -121,6 +123,37 @@ def test_truncation_propagation():
     assert prod.trunc == Fraction(5)
     with pytest.raises(TruncationError):
         prod.coeff(5)
+
+
+def test_truncated_zeros_multiply_to_a_truncated_zero():
+    prod = FracLaurent("x", 1, {}, trunc=3) * FracLaurent("x", 1, {}, trunc=2)
+    assert prod.is_zero()
+    assert prod.trunc == Fraction(5)
+
+
+_exact_series = st.dictionaries(
+    st.integers(-3, 5),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool),
+    min_size=1,
+    max_size=4,
+).map(lambda terms: FracLaurent("z", 1, terms))
+_cut = st.none() | st.integers(-4, 8)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(_exact_series, _exact_series, _cut, _cut)
+def test_truncated_product_is_sound(a, b, cut_a, cut_b):
+    # the product of truncations agrees with the exact product below its
+    # reported trunc, and claims exactness only for exact factors
+    ta = a if cut_a is None else a.truncate(cut_a)
+    tb = b if cut_b is None else b.truncate(cut_b)
+    prod = ta * tb
+    exact = a * b
+    if prod.trunc is None:
+        assert cut_a is None and cut_b is None
+        assert prod == exact
+    else:
+        assert prod == exact.truncate(prod.trunc)
 
 
 def test_inverse_of_monomial_is_exact():

@@ -292,3 +292,13 @@ def test_jacobi_degenerates_on_vacuum_inputs():
             tw, u, vac_t, st(W, (1,)), st(WD, pm), range(-2, 3), range(-2, 3), hs
         )
         assert ok, (pm, worst)
+
+
+def test_pairing_series_is_linear_in_exact_coefficients():
+    # the series cache must tell apart coefficients with equal hashes (-1, -2)
+    for k in (2, 3):
+        tw = TwistedModule(W, k)
+        u = tensor_vector(tw.tensor, [A] + [VAC] * (k - 1))
+        for c in (1, -1, -2, 2, 3, -3):
+            got = tw.pairing_series(u.scale(Scalar.integer(c)), (1,), ())
+            assert got == tw.pairing_series(u, (1,), ()).scale(c), (k, c)
