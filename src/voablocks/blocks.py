@@ -383,9 +383,6 @@ class PropagationResult:
     tail_estimate: float
     exact: bool
 
-    def value_complex(self):
-        return self.value.to_complex()
-
 
 def _apply_field(v: GradedVector, z: Scalar, state: GradedVector, cutoff: int) -> GradedVector:
     """sum_n z^{-n-1} Y(v)_n state, keeping output grades <= cutoff."""

@@ -37,7 +37,7 @@ from .voa import (
     HeisenbergAlgebra,
     dual_of,
     dual_pairing,
-    int_binomial,
+    jacobi_difference,
     mode_action,
     tensor_vector,
 )
@@ -62,6 +62,10 @@ def _parse_rational(value, path):
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(path, str(exc))
     raise ConfigError(path, f"expected a rational, got {value!r}")
+
+
+def _scalar_json(scalar: Scalar, mode: str):
+    return (Scalar.complex_float(scalar.to_complex()) if mode == "float" else scalar).to_json()
 
 
 def _fmt(scalar: Scalar, mode: str) -> str:
@@ -118,6 +122,13 @@ class RunConfig:
                 raise ConfigError(f"cutoffs.{name}", "must be positive")
         if cfg.mode not in ("exact", "float"):
             raise ConfigError("mode", "must be 'exact' or 'float'")
+        for name in ("grade", "index_bound"):
+            value = cfg.params.get(name, 0)
+            if not isinstance(value, int) or value < 0:
+                raise ConfigError(f"params.{name}", "must be a non-negative integer")
+        ks = cfg.params.get("k", 1)
+        if not all(isinstance(k, int) and k >= 1 for k in (ks if isinstance(ks, list) else [ks])):
+            raise ConfigError("params.k", "must be a positive integer")
         return cfg
 
 
@@ -393,10 +404,11 @@ def _run_twist_modes(cfg: RunConfig):
                                 "n": [n.numerator, n.denominator],
                                 "in": list(wm),
                                 "out": list(pm),
-                                "value": c.to_json(),
+                                "value": _scalar_json(c, cfg.mode),
                             }
                         )
-    payload = {"k": k, "u": [{"monomial": list(m), "coeff": c.to_json()} for m, c in sorted(v.terms.items())], "modes": table}
+    u_terms = [{"monomial": list(m), "coeff": _scalar_json(c, cfg.mode)} for m, c in sorted(v.terms.items())]
+    payload = {"k": k, "u": u_terms, "modes": table}
     return 0, [json.dumps(payload, sort_keys=True)]
 
 
@@ -422,7 +434,7 @@ def _run_jacobi_check(cfg: RunConfig):
         for m in range(-bound, bound + 1):
             for n in range(-bound, bound + 1):
                 for h in range(-bound, bound + 1):
-                    if not _borcherds_holds(alg, W, u, v, w, m, n, h):
+                    if not jacobi_difference(mode_action, u, v, w, m, n, h).is_zero():
                         return False
         return True
 
@@ -435,39 +447,6 @@ def _run_jacobi_check(cfg: RunConfig):
     for t in failed:
         lines.append(f"# FAIL\t{t}")
     return (0 if not failed else 1), lines
-
-
-def _borcherds_holds(alg, W, u, v, w, m, n, h):
-    wtu, wtv, wtw = (x.homogeneous_weight() for x in (u, v, w))
-    if wtu + wtv + wtw - m - n - h - 2 < 0:
-        return True  # every term lands in negative weight and vanishes
-    lhs = GradedVector(W)
-    for l in range(0, wtu + wtv - n):
-        c = int_binomial(m, l)
-        if c == 0:
-            continue
-        inner = mode_action(u, n + l, v)
-        if inner.is_zero():
-            continue
-        lhs = lhs + mode_action(inner, m + h - l, w).scale(c)
-    rhs = GradedVector(W)
-    for l in range(0, wtv + wtw - h):
-        c = int_binomial(n, l)
-        if c == 0:
-            continue
-        inner = mode_action(v, h + l, w)
-        if inner.is_zero():
-            continue
-        rhs = rhs + mode_action(u, m + n - l, inner).scale(c * (-1) ** (l % 2))
-    for l in range(0, wtu + wtw - m):
-        c = int_binomial(n, l)
-        if c == 0:
-            continue
-        inner = mode_action(u, m + l, w)
-        if inner.is_zero():
-            continue
-        rhs = rhs - mode_action(v, n + h - l, inner).scale(c * (-1) ** ((n - l) % 2))
-    return (lhs - rhs).is_zero()
 
 
 _SUBCOMMANDS = {

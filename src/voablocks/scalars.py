@@ -21,7 +21,6 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
 
 
 class ScalarError(ArithmeticError):
@@ -181,10 +180,6 @@ class Scalar:
         if self._vec is not None:
             return False  # cyclotomic variant is never the demoted zero
         return self._z == 0
-
-    @property
-    def field_order(self):
-        return self._k
 
     # ---- coercion helpers ---------------------------------------------
 
@@ -397,12 +392,6 @@ class Scalar:
             return Scalar._make_cyc(k, _reduce_mod_cyclotomic(list(vec), k))
         re, im = obj["float"]
         return Scalar.complex_float(complex(re, im))
-
-
-ScalarLike = Union[Scalar, int, Fraction]
-
-ZERO = Scalar.integer(0)
-ONE = Scalar.integer(1)
 
 
 def frac_binomial(r: Fraction, m: int) -> Fraction:

@@ -78,9 +78,6 @@ class FracLaurent:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1 and self.trunc is None
-
     def valuation(self):
         """Lowest stored exponent; None for the (exact) zero series."""
         return min(self.terms) if self.terms else None
@@ -339,12 +336,6 @@ class FracLaurent:
             if e.denominator != 1:
                 raise ValueError("cannot evaluate fractional exponents without a branch")
             total = total + c * x ** int(e)
-        return total
-
-    def evaluate_complex(self, x: complex) -> complex:
-        total = 0j
-        for e, c in self.terms.items():
-            total += c.to_complex() * complex(x) ** float(e)
         return total
 
     def to_json(self):

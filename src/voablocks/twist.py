@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .blocks import _apply_field, heisenberg_correlator
 from .coordchange import apply_coord_change, kth_root_shift
-from .scalars import Scalar, frac_binomial
+from .scalars import Scalar
 from .series import FracLaurent, binomial_expand
 from .voa import (
     CutoffOverflow,
@@ -34,7 +34,7 @@ from .voa import (
     cycle_rotate,
     dual_of,
     dual_pairing,
-    int_binomial,
+    jacobi_difference,
     mode_action,
     tensor_vector,
 )
@@ -64,6 +64,8 @@ class TwistedModule:
                 "the exactly computable catalogue needs a Heisenberg base; "
                 "other algebras only support the generator path"
             )
+        if k < 1:
+            raise ValueError(f"the twist order k must be a positive integer, got {k}")
         self.module = module
         self.k = k
         self.tensor = TensorPowerAlgebra(module.algebra, k)
@@ -72,10 +74,6 @@ class TwistedModule:
         self._gen_series = {}
 
     # ---- gradings ------------------------------------------------------
-
-    def twisted_weight(self, vec: GradedVector) -> Fraction:
-        h = vec.homogeneous_weight()
-        return None if h is None else Fraction(h, self.k)
 
     def mode_index_lattice(self, n) -> Fraction:
         n = Fraction(n)
@@ -434,61 +432,21 @@ def check_jacobi(
     k = tw.k
     worst = 0.0
     ok = True
-    wt_u = u.homogeneous_weight()
-    wt_v = v.homogeneous_weight()
-    if wt_u is None or wt_v is None:
-        raise ValueError("u and v must be homogeneous")
+    # the difference vector has grade k (wt_u + wt_v - mu - n - h - 2) + wt_w,
+    # so only that grade of w' can pair with it; jacobi_difference checks
+    # that u, v and w are homogeneous
+    wt_wp = wp.homogeneous_weight()
+    top = k * (u.max_weight() + v.max_weight() - 2) + w.max_weight()
     for j, uj in eigencomponents(u, k).items():
         for m in m_values:
             mu = Fraction(j, k) + m
             for n in n_values:
                 for h in h_values:
                     h = Fraction(h)
-                    diff = _jacobi_difference(tw, uj, v, w, wp, mu, n, h, wt_u, wt_v)
+                    if top - int(k * (mu + n + h)) != wt_wp:
+                        continue
+                    diff = dual_pairing(jacobi_difference(tw.mode_apply, uj, v, w, mu, n, h, k), wp)
                     if not diff.is_zero():
                         ok = False
                         worst = max(worst, abs(diff.to_complex()))
     return ok, worst
-
-
-def _jacobi_difference(tw, uj, v, w, wp, mu, n, h, wt_u, wt_v):
-    k = tw.k
-    wt_w = w.homogeneous_weight()
-    # all three sums land on one target grade; off-grade instances are 0 = 0
-    target = k * (wt_u + wt_v) + wt_w - int(k * (mu + n + h)) - 2 * k
-    if target != wp.homogeneous_weight():
-        return S0
-    total = S0
-    # iterate side: sum_l C(mu, l) <Y^g(Y(u)_{n+l} v)_{mu+h-l} w, w'>
-    # terminated by lower truncation of the inner tensor mode
-    for l in range(0, wt_u + wt_v - n):
-        c = frac_binomial(mu, l)
-        if c == 0:
-            continue
-        inner = mode_action(uj, n + l, v)
-        if inner.is_zero():
-            continue
-        val = dual_pairing(tw.mode_apply(inner, mu + h - l, w), wp)
-        total = total + val * Scalar.from_fraction(c)
-    # first product ordering; the intermediate grade k wt_v + wt_w - k(h+l) - k
-    # drops below zero for large l, which is the lower-truncation cutoff
-    l = 0
-    while k * wt_v + wt_w - int(k * (h + l)) - k >= 0:
-        c = int_binomial(n, l)
-        if c != 0:
-            inner = tw.mode_apply(v, h + l, w)
-            if not inner.is_zero():
-                val = dual_pairing(tw.mode_apply(uj, mu + n - l, inner), wp)
-                total = total - val * Scalar.integer(c * (-1) ** (l % 2))
-        l += 1
-    # second product ordering, same termination through Y^g(u)_{mu+l} w
-    l = 0
-    while k * wt_u + wt_w - int(k * (mu + l)) - k >= 0:
-        c = int_binomial(n, l)
-        if c != 0:
-            inner = tw.mode_apply(uj, mu + l, w)
-            if not inner.is_zero():
-                val = dual_pairing(tw.mode_apply(v, n + h - l, inner), wp)
-                total = total + val * Scalar.integer(c * (-1) ** ((n - l) % 2))
-        l += 1
-    return total

@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import Scalar
+from .scalars import Scalar, frac_binomial
 
 S0 = Scalar.integer(0)
 S1 = Scalar.integer(1)
@@ -182,9 +182,6 @@ class HeisenbergAlgebra(_GeneratorAlgebra):
     def basis(self, n):
         return partitions(n, 1)
 
-    def generator_mono(self):
-        return (1,)
-
     def conformal_monos(self):
         # c = (1/2) a_{-1} a_{-1} |0>
         return {(1, 1): Scalar.rational(1, 2)}
@@ -229,9 +226,6 @@ class VirasoroAlgebra(_GeneratorAlgebra):
 
     def basis(self, n):
         return partitions(n, 2)
-
-    def generator_mono(self):
-        return (2,)
 
     def conformal_monos(self):
         return {(2,): S1}
@@ -545,9 +539,6 @@ class GradedVector:
     def coefficient(self, mono):
         return self.terms.get(tuple(mono), S0)
 
-    def map_coefficients(self, f):
-        return GradedVector(self.space, {m: f(c) for m, c in self.terms.items()})
-
     def to_json(self):
         def cj(c):
             return c.to_json() if isinstance(c, Scalar) else {"series": c.to_json()}
@@ -604,6 +595,54 @@ def mode_action(u: GradedVector, n, w: GradedVector) -> GradedVector:
                 else:
                     out[m] = c * uc * wc
     return GradedVector(module, out)
+
+
+def jacobi_difference(act, u: GradedVector, v: GradedVector, w: GradedVector, m, n: int, h, k: int = 1):
+    """lhs - rhs of the Jacobi (Borcherds) identity applied to w:
+
+        sum_l C(m, l) Y(Y(u)_{n+l} v)_{m+h-l} w
+          - sum_l C(n, l) (-1)^l     Y(u)_{m+n-l} Y(v)_{h+l} w
+          + sum_l C(n, l) (-1)^(n-l) Y(v)_{n+h-l} Y(u)_{m+l} w
+
+    ``act(x, p, y)`` is the module action Y(x)_p y: ``mode_action``, or the
+    g-twisted action of V^(x)k on a module graded by k times its twisted
+    weight, where m (for a g-eigencomponent u) and h lie in (1/k)Z.  The
+    iterate Y(u)_{n+l} v is always taken in the algebra.  Every sum stops
+    where lower truncation kills its terms, so the identity holds on
+    (u, v, w, m, n, h) exactly when the result is zero."""
+    wt_u, wt_v, wt_w = (x.homogeneous_weight() for x in (u, v, w))
+    if wt_u is None or wt_v is None or wt_w is None:
+        raise ValueError("u, v and w must be homogeneous and nonzero")
+    total = GradedVector(w.space)
+    # every term has grade k (wt_u + wt_v - m - n - h - 2) + wt_w
+    if k * (wt_u + wt_v - m - n - h - 2) + wt_w < 0:
+        return total
+    for l in range(wt_u + wt_v - n):
+        c = int_binomial(int(m), l) if m.denominator == 1 else frac_binomial(m, l)
+        if c == 0:
+            continue
+        inner = mode_action(u, n + l, v)
+        if inner.is_zero():
+            continue
+        total = total + act(inner, m + h - l, w).scale(c)
+    # the product sums stop where the inner grade k (wt - index - 1) + wt_w < 0
+    for l in range((k * (wt_v - h) + wt_w) // k):
+        c = int_binomial(n, l)
+        if c == 0:
+            continue
+        inner = act(v, h + l, w)
+        if inner.is_zero():
+            continue
+        total = total + act(u, m + n - l, inner).scale(-c if l % 2 == 0 else c)
+    for l in range((k * (wt_u - m) + wt_w) // k):
+        c = int_binomial(n, l)
+        if c == 0:
+            continue
+        inner = act(u, m + l, w)
+        if inner.is_zero():
+            continue
+        total = total + act(v, n + h - l, inner).scale(c if (n - l) % 2 == 0 else -c)
+    return total
 
 
 def conformal_vector(alg: Algebra) -> GradedVector:

@@ -6,8 +6,6 @@ from voablocks.voa import (
     GradedVector,
     HeisenbergAlgebra,
     dual_pairing,
-    int_binomial,
-    mode_action,
 )
 
 
@@ -43,38 +41,3 @@ def pair_field(alg, v, z0, x, wp, depth=28):
                 acted = GradedVector(module, {m: c * vc * xc for m, c in res.items()})
                 out = out + dual_pairing(acted, wp) * z0 ** (-n - 1)
     return out
-
-
-def borcherds_holds(u, v, w, m, n, h):
-    """The untwisted algebraic Jacobi identity on one index triple."""
-    wtu, wtv, wtw = (x.homogeneous_weight() for x in (u, v, w))
-    if wtu + wtv + wtw - m - n - h - 2 < 0:
-        return True
-    W = w.space
-    lhs = GradedVector(W)
-    for l in range(0, wtu + wtv - n):
-        c = int_binomial(m, l)
-        if c == 0:
-            continue
-        inner = mode_action(u, n + l, v)
-        if inner.is_zero():
-            continue
-        lhs = lhs + mode_action(inner, m + h - l, w).scale(c)
-    rhs = GradedVector(W)
-    for l in range(0, wtv + wtw - h):
-        c = int_binomial(n, l)
-        if c == 0:
-            continue
-        inner = mode_action(v, h + l, w)
-        if inner.is_zero():
-            continue
-        rhs = rhs + mode_action(u, m + n - l, inner).scale(c * (-1) ** (l % 2))
-    for l in range(0, wtu + wtw - m):
-        c = int_binomial(n, l)
-        if c == 0:
-            continue
-        inner = mode_action(u, m + l, w)
-        if inner.is_zero():
-            continue
-        rhs = rhs - mode_action(v, n + h - l, inner).scale(c * (-1) ** ((n - l) % 2))
-    return (lhs - rhs).is_zero()

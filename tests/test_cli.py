@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from voablocks.cli import RunConfig, main
+from voablocks.scalars import Scalar
 
 
 def _read(path):
@@ -213,6 +214,7 @@ GOLDEN_RUNS = {
     "residue_check": ["residue-check"],
     "sew": ["sew", "--cutoff-q", "8"],
     "twist_check": ["twist-check", "--k", "2", "--grade", "2"],
+    "twist_check_k3": ["twist-check", "--k", "3", "--grade", "1"],
     "twist_modes": ["twist-modes", "--k", "3", "--grade", "1"],
     "jacobi_check": ["jacobi-check", "--grade", "1", "--cutoff-grade", "12"],
 }
@@ -246,13 +248,63 @@ def _missing_config(tmp_path):
     return ["sew", "--config", str(tmp_path / "missing.json")]
 
 
+def _negative_index_bound(tmp_path):
+    path = tmp_path / "j.json"
+    path.write_text(json.dumps({"subcommand": "jacobi-check", "params": {"index_bound": -1}}))
+    return ["jacobi-check", "--config", str(path)]
+
+
 @pytest.mark.parametrize(
     "argv_for",
-    [_bad_json, lambda tmp_path: ["uc-solve", "--taylor", "0,1"], _unordered_points, _missing_config],
-    ids=["malformed-json", "degenerate-taylor", "unordered-points", "missing-config"],
+    [
+        _bad_json,
+        lambda tmp_path: ["uc-solve", "--taylor", "0,1"],
+        _unordered_points,
+        _missing_config,
+        lambda tmp_path: ["jacobi-check", "--grade", "-1"],
+        lambda tmp_path: ["twist-check", "--k", "0"],
+    ],
+    ids=[
+        "malformed-json", "degenerate-taylor", "unordered-points", "missing-config", "negative-grade", "zero-k",
+    ],
 )
 def test_bad_input_gives_one_line_and_exit_2(argv_for, tmp_path, capsys):
     assert main(argv_for(tmp_path)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv_for, path",
+    [
+        (lambda tmp_path: ["jacobi-check", "--grade", "-1"], "params.grade"),
+        (lambda tmp_path: ["twist-modes", "--grade", "-1"], "params.grade"),
+        (_negative_index_bound, "params.index_bound"),
+        (lambda tmp_path: ["twist-check", "--k", "0"], "params.k"),
+        (lambda tmp_path: ["twist-modes", "--k", "-2"], "params.k"),
+    ],
+)
+def test_bad_sweep_bound_names_the_field(argv_for, path, tmp_path, capsys):
+    # an empty sweep would report a held identity; a bad k used to fail deep
+    # inside the tensor algebra without naming the flag
+    assert main(argv_for(tmp_path)) == 2
+    assert path in capsys.readouterr().err
+
+
+def test_twist_modes_float_mode_converts_values(capsys):
+    argv = ["twist-modes", "--k", "3", "--grade", "1"]
+    assert main(argv) == 0
+    exact = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--mode", "float"]) == 0
+    approx = json.loads(capsys.readouterr().out)
+    def keys(payload):
+        return [(e["n"], e["in"], e["out"]) for e in payload["modes"]]
+
+    assert keys(approx) == keys(exact)
+    pairs = [(e["value"], a["value"]) for e, a in zip(exact["modes"], approx["modes"])]
+    pairs += [(e["coeff"], a["coeff"]) for e, a in zip(exact["u"], approx["u"])]
+    assert len(pairs) == 3
+    for ex, fl in pairs:
+        assert list(fl) == ["float"]
+        assert abs(Scalar.from_json(fl).to_complex() - Scalar.from_json(ex).to_complex()) <= 1e-12

@@ -213,6 +213,21 @@ def test_twisted_jacobi_k2_mixed_slots():
             assert ok, (pm, worst)
 
 
+def test_twisted_jacobi_k1_is_the_untwisted_identity():
+    # at k = 1 the twisted action is Y itself and mu = m is an integer
+    tw = TwistedModule(W, 1)
+    u = tensor_vector(tw.tensor, [A])
+    for pm in ((), (1,), (2,), (1, 1)):
+        ok, worst = check_jacobi(tw, u, u, st(W, (1,)), st(WD, pm), range(-2, 3), range(-2, 3), range(-2, 3))
+        assert ok, (pm, worst)
+
+
+def test_twist_order_must_be_positive():
+    for k in (0, -2):
+        with pytest.raises(ValueError, match="positive"):
+            TwistedModule(W, k)
+
+
 def test_twisted_jacobi_k3_sample():
     tw = TwistedModule(W, 3)
     u = tensor_vector(tw.tensor, [A, VAC, VAC])
