@@ -102,12 +102,17 @@ class RunConfig:
 
     @staticmethod
     def from_json(obj) -> "RunConfig":
+        if not isinstance(obj, dict):
+            raise ConfigError("config", "must be a JSON object")
         if "subcommand" not in obj:
             raise ConfigError("subcommand", "missing")
         known = {"subcommand", "algebra", "cutoffs", "points", "seed", "mode", "threads", "out", "params"}
         for key in obj:
             if key not in known:
                 raise ConfigError(key, "unknown field")
+        for key in ("algebra", "cutoffs", "params"):
+            if not isinstance(obj.get(key, {}), dict):
+                raise ConfigError(key, "must be a JSON object")
         cfg = RunConfig(subcommand=obj["subcommand"])
         cfg.algebra = obj.get("algebra", cfg.algebra)
         cfg.cutoffs = {**cfg.cutoffs, **obj.get("cutoffs", {})}
@@ -118,7 +123,8 @@ class RunConfig:
         cfg.out = obj.get("out")
         cfg.params = obj.get("params", {})
         for name, bound in (("L", 1), ("N", 0)):
-            if cfg.cutoffs.get(name, bound) < bound:
+            value = cfg.cutoffs.get(name, bound)
+            if not isinstance(value, int) or value < bound:
                 raise ConfigError(f"cutoffs.{name}", "must be positive")
         if cfg.mode not in ("exact", "float"):
             raise ConfigError("mode", "must be 'exact' or 'float'")

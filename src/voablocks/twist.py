@@ -56,7 +56,8 @@ class TwistedModule:
 
     The twisted grading operator is (1/k) of the grading of W, so twisted
     weights lie in (1/k)N with finite-dimensional eigenspaces.  Mode data is
-    populated lazily and memoized per (vector, in-state, out-state)."""
+    populated lazily and memoized per (vector, in-state, out-state), and each
+    chart-corrected slot vector per exact (base monomial, slot)."""
 
     def __init__(self, module: FockModule, k: int):
         if not isinstance(module.algebra, HeisenbergAlgebra):
@@ -72,6 +73,7 @@ class TwistedModule:
         self.dual = dual_of(module)
         self._series = {}
         self._gen_series = {}
+        self._corrected = {}
 
     # ---- gradings ------------------------------------------------------
 
@@ -90,6 +92,17 @@ class TwistedModule:
             FracLaurent.monomial(TVAR, 1, Scalar.root_of_unity(k, i)) for i in range(k)
         ]
 
+    def slot_corrected(self, mono, slot: int) -> GradedVector:
+        """The base state ``mono`` carried to the root point w_k^slot t of
+        its slot (see ``_chart_corrected``), computed once per module."""
+        key = (tuple(mono), slot)
+        hit = self._corrected.get(key)
+        if hit is None:
+            point = FracLaurent.monomial(TVAR, 1, Scalar.root_of_unity(self.k, slot))
+            hit = _chart_corrected(self.k, GradedVector.state(self.tensor.base, mono), point)
+            self._corrected[key] = hit
+        return hit
+
     def pairing_series(self, u: GradedVector, w_mono, wp_mono) -> FracLaurent:
         """<Y^g(u, z) w, w'> as an exact Laurent polynomial in t = z^(1/k)."""
         if u.space is not self.tensor:
@@ -98,13 +111,12 @@ class TwistedModule:
         hit = self._series.get(key)
         if hit is not None:
             return hit
-        base = self.tensor.base
         pts = self.root_points()
         w = GradedVector.state(self.module, w_mono)
         wp = GradedVector.state(self.dual, wp_mono)
         total = FracLaurent.zero(TVAR, 1)
         for mono, coef in u.terms.items():
-            slots = [_chart_corrected(self.k, GradedVector.state(base, m), p) for m, p in zip(mono, pts)]
+            slots = [self.slot_corrected(m, i) for i, m in enumerate(mono)]
             expr = heisenberg_correlator(slots, w, wp)
             if expr.is_zero():
                 continue
@@ -122,7 +134,10 @@ class TwistedModule:
         hit = self._gen_series.get(key)
         if hit is not None:
             return hit
-        x = _chart_corrected(self.k, v, TVAR)
+        # the root point of slot 0 is t itself; the coordinate action is linear
+        x = GradedVector(base)
+        for vm, c in v.terms.items():
+            x = x + self.slot_corrected(vm, 0).scale(c)
         w = GradedVector.state(self.module, w_mono)
         total = FracLaurent.zero(TVAR, 1)
         wp = GradedVector.state(self.dual, wp_mono)
@@ -137,7 +152,7 @@ class TwistedModule:
                 continue
             contrib = coef.shift(-m - 1).scale(val) if isinstance(coef, FracLaurent) else None
             if contrib is None:
-                contrib = FracLaurent.monomial(TVAR, 1, val * coef).shift(-m - 1)
+                contrib = FracLaurent.monomial(TVAR, 0, val * coef).shift(-m - 1)
             total = total + contrib
         self._gen_series[key] = total
         return total
@@ -173,8 +188,7 @@ class TwistedModule:
         base = self.tensor.base
         kn = int(self.k * n)
         phase_base = Scalar.root_of_unity(self.k, slot)
-        point = FracLaurent.monomial(TVAR, 1, phase_base)
-        x = _chart_corrected(self.k, GradedVector.state(base, v_mono), point)
+        x = self.slot_corrected(v_mono, slot)
         out = GradedVector(self.module)
         for b, coef in x.terms.items():
             bvec = GradedVector.state(base, b)

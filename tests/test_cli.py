@@ -136,6 +136,12 @@ def test_twist_check_small(tmp_path):
     assert "path-agreement\t2\tpass" in body
 
 
+def test_twist_check_k1_passes(tmp_path):
+    out = tmp_path / "t.tsv"
+    assert main(["twist-check", "--k", "1", "--grade", "2", "--out", str(out)]) == 0
+    assert "path-agreement\t1\tpass" in _read(out)
+
+
 def test_jacobi_check_small(tmp_path):
     out = tmp_path / "j.tsv"
     assert main(["jacobi-check", "--grade", "1", "--cutoff-grade", "12", "--out", str(out)]) == 0
@@ -248,6 +254,24 @@ def _missing_config(tmp_path):
     return ["sew", "--config", str(tmp_path / "missing.json")]
 
 
+def _config_file(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return ["jacobi-check", "--config", str(path)]
+
+
+def _list_params(tmp_path):
+    return _config_file(tmp_path, {"subcommand": "jacobi-check", "params": [1]})
+
+
+def _list_cutoffs(tmp_path):
+    return _config_file(tmp_path, {"subcommand": "jacobi-check", "cutoffs": [1]})
+
+
+def _string_cutoff(tmp_path):
+    return _config_file(tmp_path, {"subcommand": "jacobi-check", "cutoffs": {"L": "12"}})
+
+
 def _negative_index_bound(tmp_path):
     path = tmp_path / "j.json"
     path.write_text(json.dumps({"subcommand": "jacobi-check", "params": {"index_bound": -1}}))
@@ -263,9 +287,13 @@ def _negative_index_bound(tmp_path):
         _missing_config,
         lambda tmp_path: ["jacobi-check", "--grade", "-1"],
         lambda tmp_path: ["twist-check", "--k", "0"],
+        _list_params,
+        _list_cutoffs,
+        _string_cutoff,
     ],
     ids=[
         "malformed-json", "degenerate-taylor", "unordered-points", "missing-config", "negative-grade", "zero-k",
+        "params-not-object", "cutoffs-not-object", "string-cutoff",
     ],
 )
 def test_bad_input_gives_one_line_and_exit_2(argv_for, tmp_path, capsys):
@@ -290,6 +318,20 @@ def test_bad_sweep_bound_names_the_field(argv_for, path, tmp_path, capsys):
     # inside the tensor algebra without naming the flag
     assert main(argv_for(tmp_path)) == 2
     assert path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv_for, field",
+    [
+        (_list_params, "params"),
+        (_list_cutoffs, "cutoffs"),
+        (lambda tmp_path: _config_file(tmp_path, {"subcommand": "jacobi-check", "algebra": "heisenberg"}), "algebra"),
+        (lambda tmp_path: _config_file(tmp_path, 7), "config"),
+    ],
+)
+def test_non_object_config_field_is_named(argv_for, field, tmp_path, capsys):
+    assert main(argv_for(tmp_path)) == 2
+    assert capsys.readouterr().err == f"config error at {field}: must be a JSON object\n"
 
 
 def test_twist_modes_float_mode_converts_values(capsys):

@@ -5,6 +5,7 @@ import pytest
 from support import fock, heis, rat, st, vac
 from voablocks.scalars import Scalar
 from voablocks.series import FracLaurent
+from voablocks import twist
 from voablocks.twist import (
     TwistedModule,
     check_equivariance,
@@ -81,10 +82,11 @@ def test_generator_modes_are_rescaled_oscillators():
 
 
 def test_construction_paths_agree():
-    # generator formula vs the k-point evaluation on their common domain
-    for k in (2, 3):
+    # generator formula vs the k-point evaluation on their common domain; at
+    # k = 1 the chart-corrected coefficients are Scalars, not t-series
+    for k in (1, 2, 3):
         tw = TwistedModule(W, k)
-        for g in range(0, 4):
+        for g in range(0, 5):
             for vm in H.basis(g):
                 v = st(H, vm)
                 vt = tensor_vector(tw.tensor, [v] + [VAC] * (k - 1))
@@ -317,3 +319,59 @@ def test_pairing_series_is_linear_in_exact_coefficients():
         for c in (1, -1, -2, 2, 3, -3):
             got = tw.pairing_series(u.scale(Scalar.integer(c)), (1,), ())
             assert got == tw.pairing_series(u, (1,), ()).scale(c), (k, c)
+
+
+def test_chart_cache_is_transparent():
+    # a module whose chart cache was filled first, in reverse slot order,
+    # answers exactly as a fresh one
+    monos = [m for g in range(0, 4) for m in H.basis(g)]
+    states = [m for g in range(0, 3) for m in W.basis(g)]
+    for k in (2, 3):
+        fresh = TwistedModule(W, k)
+        warm = TwistedModule(W, k)
+        for slot in reversed(range(k)):
+            for vm in reversed(monos):
+                warm.slot_corrected(vm, slot)
+        assert warm.slot_corrected((1,), 0) != warm.slot_corrected((1,), 1)
+        for vm in monos:
+            v = st(H, vm)
+            for wm in states:
+                for pm in states:
+                    assert fresh.generator_series(v, wm, pm) == warm.generator_series(v, wm, pm)
+            for slot in range(k):
+                factors = [VAC] * k
+                factors[slot] = v
+                u_fresh = tensor_vector(fresh.tensor, factors)
+                u_warm = tensor_vector(warm.tensor, factors)
+                for wm in states:
+                    for pm in states:
+                        assert fresh.pairing_series(u_fresh, wm, pm) == warm.pairing_series(u_warm, wm, pm)
+                    for m in range(-k, k + 1):
+                        n = Fraction(m, k)
+                        got = warm.slot_mode_apply(vm, slot, n, st(W, wm))
+                        assert got == fresh.slot_mode_apply(vm, slot, n, st(W, wm)), (k, vm, slot, m, wm)
+
+
+def test_chart_correction_computed_once_per_monomial_and_slot(monkeypatch):
+    calls = []
+    original = twist.kth_root_shift
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(twist, "kth_root_shift", counted)
+    k = 3
+    tw = TwistedModule(W, k)
+    vecs = []
+    for vm in (m for g in range(1, 4) for m in H.basis(g)):
+        for slot in range(k):
+            factors = [VAC] * k
+            factors[slot] = st(H, vm)
+            vecs.append(tensor_vector(tw.tensor, factors))
+    pairs = {(m, i) for u in vecs for mono in u.terms for i, m in enumerate(mono)}
+    # the second sweep uses other states, so the series cache misses
+    for wm, pm in (((), ()), ((1,), (2, 1))):
+        for u in vecs:
+            tw.pairing_series(u, wm, pm)
+        assert len(calls) == len(pairs)
