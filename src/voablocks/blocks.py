@@ -21,20 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .scalars import Scalar
+from .scalars import Scalar, binomial
 from .series import FracLaurent
-from .voa import CutoffOverflow, DualModule, GradedVector, HeisenbergAlgebra, dual_pairing, int_binomial
+from .voa import CutoffOverflow, DualModule, GradedVector, HeisenbergAlgebra, dual_pairing
 
 S0 = Scalar.integer(0)
 S1 = Scalar.integer(1)
 
 INF = "infinity"  # marked-point sentinel for the point at infinity
-
-
-def pairing_block(w, wp):
-    """The two-point block on (0, infinity) with standard coordinates: the
-    graded dual pairing itself."""
-    return dual_pairing(w, wp)
 
 
 def _check_marked_points(points):
@@ -194,7 +188,7 @@ class RationalExpr:
                 sign = (-1) ** (e % 2) if big == j else 1
                 fac = {}
                 for m in range(max_m + 1):
-                    coef = Fraction(int_binomial(e, m)) * (-1) ** (m % 2) * sign
+                    coef = Fraction(binomial(e, m)) * (-1) ** (m % 2) * sign
                     if coef == 0:
                         continue
                     key = [0] * n
@@ -652,12 +646,12 @@ def _section_atom_expansion(atom, point, order) -> FracLaurent:
                 return FracLaurent("z", 1, {Fraction(-m): S1})
             terms = {}
             for t in range(order + m + 1):
-                terms[Fraction(t)] = Scalar.from_fraction(Fraction(int_binomial(-m, t))) * base ** (-m - t)
+                terms[Fraction(t)] = Scalar.from_fraction(Fraction(binomial(-m, t))) * base ** (-m - t)
             return FracLaurent("z", 1, terms, order + m + 1)
         _, p = atom
         terms = {}
         for t in range(p + 1):
-            terms[Fraction(t)] = Scalar.from_fraction(Fraction(math.comb(p, t))) * xj ** (p - t)
+            terms[Fraction(t)] = Scalar.from_fraction(Fraction(binomial(p, t))) * xj ** (p - t)
         return FracLaurent("z", 1, terms)
     if kind == "pole":
         _, x, m = atom
@@ -665,7 +659,7 @@ def _section_atom_expansion(atom, point, order) -> FracLaurent:
         # (1/z - x)^(-m) = z^m (1 - x z)^(-m)
         terms = {}
         for t in range(order + 3):
-            terms[Fraction(m + t)] = Scalar.from_fraction(Fraction(int_binomial(-m, t))) * (-x) ** t
+            terms[Fraction(m + t)] = Scalar.from_fraction(Fraction(binomial(-m, t))) * (-x) ** t
         return FracLaurent("z", 1, terms, order + m + 1)
     _, p = atom
     return FracLaurent("z", 1, {Fraction(-p): S1})

@@ -2,9 +2,9 @@
 configuration and machine-readable TSV/JSON output.
 
 Exact values print as p/q (cyclotomics as coefficient vectors); float mode
-converts the exact results on output.  Independent experiment items may be
-dispatched to a thread pool, but results are always reduced in a fixed
-(sorted) order so exact-mode output is byte-identical for any thread count.
+converts the exact results on output.  Experiment items run one after
+another in a fixed (sorted) order; ``threads`` is accepted and validated but
+does not change the run, so output is byte-identical for any thread count.
 Exit status is nonzero whenever a checked identity fails.
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -65,7 +64,10 @@ def _parse_rational(value, path):
 
 
 def _scalar_json(scalar: Scalar, mode: str):
-    return (Scalar.complex_float(scalar.to_complex()) if mode == "float" else scalar).to_json()
+    if mode == "float":
+        z = scalar.to_complex()
+        return {"float": [z.real, z.imag]}
+    return scalar.to_json()
 
 
 def _fmt(scalar: Scalar, mode: str) -> str:
@@ -128,6 +130,8 @@ class RunConfig:
                 raise ConfigError(f"cutoffs.{name}", "must be positive")
         if cfg.mode not in ("exact", "float"):
             raise ConfigError("mode", "must be 'exact' or 'float'")
+        if not isinstance(cfg.threads, int) or cfg.threads < 1:
+            raise ConfigError("threads", "must be a positive integer")
         for name in ("grade", "index_bound"):
             value = cfg.params.get(name, 0)
             if not isinstance(value, int) or value < 0:
@@ -139,29 +143,31 @@ class RunConfig:
 
 
 def _vector_from_json(space, data, path):
+    if not isinstance(data, list):
+        raise ConfigError(path, "must be a list of terms")
     terms = {}
     for i, entry in enumerate(data):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{path}[{i}]", "must be a JSON object")
         if "monomial" not in entry:
             raise ConfigError(f"{path}[{i}].monomial", "missing")
         mono = entry["monomial"]
+        if not isinstance(mono, list):
+            raise ConfigError(f"{path}[{i}].monomial", "must be a list")
         if mono and isinstance(mono[0], list):
             mono = tuple(tuple(m) for m in mono)
         else:
             mono = tuple(mono)
         coef = entry.get("coeff", 1)
         if isinstance(coef, dict):
-            coef = Scalar.from_json(coef)
+            try:
+                coef = Scalar.from_json(coef)
+            except ValueError as exc:
+                raise ConfigError(f"{path}[{i}].coeff", str(exc))
         else:
             coef = Scalar.from_fraction(_parse_rational(coef, f"{path}[{i}].coeff"))
         terms[mono] = coef
     return GradedVector(space, terms)
-
-
-def _map_items(fn, items, threads):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +282,7 @@ def _run_residue_check(cfg: RunConfig):
                     extra = "\tre-expansion mismatch"
         return f"{name}\t{'true' if got else 'false'}\t{verdict}{extra}", verdict
 
-    rows = _map_items(run_case, cases, cfg.threads)
+    rows = [run_case(case) for case in cases]
     lines = ["case\tcriterion\tverdict"] + [r[0] for r in rows]
     status = 0 if all(r[1] == "pass" for r in rows) else 1
     return status, lines
@@ -382,7 +388,7 @@ def _run_twist_check(cfg: RunConfig):
         rows.append(("path-agreement", k, ok_p))
         return rows
 
-    all_rows = [row for rows in _map_items(run_k, ks, cfg.threads) for row in rows]
+    all_rows = [row for k in ks for row in run_k(k)]
     lines = ["check\tk\tstatus"] + [f"{name}\t{k}\t{'pass' if ok else 'FAIL'}" for name, k, ok in all_rows]
     status = 0 if all(ok for _, _, ok in all_rows) else 1
     return status, lines
@@ -444,8 +450,7 @@ def _run_jacobi_check(cfg: RunConfig):
                         return False
         return True
 
-    results = _map_items(check, triples, cfg.threads)
-    failed = [t for t, ok in zip(triples, results) if not ok]
+    failed = [t for t in triples if not check(t)]
     lines = [
         "triples\tindex_bound\tfailures",
         f"{len(triples)}\t{bound}\t{len(failed)}",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Scalar, frac_binomial
+from .scalars import Scalar, binomial
 from .series import FracLaurent
 from .voa import GradedVector, virasoro_mode
 
@@ -48,10 +48,6 @@ class CoordChange:
     def dilation(a) -> "CoordChange":
         return CoordChange(a)
 
-    @property
-    def order(self) -> int:
-        return len(self.cs) + 1
-
     def coefficient(self, n: int):
         if n == 0:
             return self.c0
@@ -64,15 +60,6 @@ class CoordChange:
 
     def __repr__(self):
         return f"CoordChange(c0={self.c0}, cs={list(self.cs)})"
-
-    def truncated(self, order: int) -> "CoordChange":
-        return CoordChange(self.c0, self.cs[: max(order - 1, 0)])
-
-    def to_json(self):
-        def cj(c):
-            return c.to_json() if isinstance(c, Scalar) else {"series": c.to_json()}
-
-        return {"c0": cj(self.c0), "cs": [cj(c) for c in self.cs]}
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +171,7 @@ def chart_transition(eta: FracLaurent, mu: FracLaurent, p, order: int) -> CoordC
             if e.denominator != 1 or e < 0:
                 raise ValueError("chart functions must be polynomials")
             for m in range(1, int(e) + 1):
-                term = c * Scalar.integer(int(frac_binomial(Fraction(e), m))) * p ** (int(e) - m)
+                term = c * Scalar.integer(binomial(e, m)) * p ** (int(e) - m)
                 shifted[Fraction(m)] = shifted.get(Fraction(m), S0) + term
         return FracLaurent("t", 1, shifted)
 
@@ -213,7 +200,7 @@ def kth_root_shift(k: int, order: int, s="s") -> CoordChange:
         base = Scalar._coerce(s)
     taylor = []
     for m in range(1, order + 1):
-        b = frac_binomial(Fraction(1, k), m)
+        b = binomial(Fraction(1, k), m)
         coef = base ** (1 - m * k) * Scalar.from_fraction(b)
         if isinstance(coef, FracLaurent) and set(coef.terms) <= {Fraction(0)} and coef.trunc is None:
             coef = coef.terms.get(Fraction(0), S0)  # k = 1: the exponent drops out

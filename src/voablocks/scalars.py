@@ -1,18 +1,18 @@
-"""Exact scalar tower: rationals, cyclotomic field elements, complex floats.
+"""Exact scalar tower: rationals and cyclotomic field elements.
 
-A Scalar is one of three variants:
+A Scalar is one of two variants:
 
 * rational        -- a ``fractions.Fraction`` in lowest terms,
 * cyclotomic(k)   -- a vector of rationals over the power basis
                      1, w, ..., w^(d-1) of the k-th cyclotomic field,
                      where w is the primitive k-th root of unity whose
-                     float value is exp(-2*pi*i/k) (clockwise convention),
-* complex float   -- a Python complex, reached only by explicit promotion.
+                     float value is exp(-2*pi*i/k) (clockwise convention).
 
 Arithmetic between a rational and a cyclotomic promotes to cyclotomic;
 between cyclotomics of different k it raises (use ``embed`` explicitly).
 A cyclotomic result whose vector is purely rational demotes back to the
-rational variant, so equality and hashing are canonical.
+rational variant, so equality and hashing are canonical.  ``to_complex``
+gives the float value of either variant.
 """
 
 from __future__ import annotations
@@ -123,13 +123,12 @@ _ZERO = Fraction(0)
 class Scalar:
     """Immutable exact scalar; see module docstring for the variant rules."""
 
-    __slots__ = ("_rat", "_k", "_vec", "_z")
+    __slots__ = ("_rat", "_k", "_vec")
 
-    def __init__(self, rat=None, k=None, vec=None, z=None):
+    def __init__(self, rat=None, k=None, vec=None):
         self._rat = rat
         self._k = k
         self._vec = vec
-        self._z = z
 
     # ---- constructors -------------------------------------------------
 
@@ -154,10 +153,6 @@ class Scalar:
         return Scalar._make_cyc(k, vec)
 
     @staticmethod
-    def complex_float(z) -> "Scalar":
-        return Scalar(z=complex(z))
-
-    @staticmethod
     def _make_cyc(k, vec) -> "Scalar":
         if all(c == 0 for c in vec[1:]):
             return Scalar(rat=vec[0] if vec else _ZERO)
@@ -171,15 +166,9 @@ class Scalar:
     def is_cyclotomic(self):
         return self._vec is not None
 
-    def is_float(self):
-        return self._z is not None
-
     def is_zero(self):
-        if self._rat is not None:
-            return self._rat == 0
-        if self._vec is not None:
-            return False  # cyclotomic variant is never the demoted zero
-        return self._z == 0
+        # a zero cyclotomic vector demotes to the rational 0
+        return self._rat is not None and self._rat == 0
 
     # ---- coercion helpers ---------------------------------------------
 
@@ -201,14 +190,17 @@ class Scalar:
             )
         return self._vec
 
+    def _common_field(self, other):
+        """(k, self, other) as coordinate vectors of one cyclotomic field."""
+        k = self._k or other._k
+        return k, self._as_vec(k), other._as_vec(k)
+
     def to_fraction(self) -> Fraction:
         if self._rat is None:
             raise ScalarError("scalar is not rational")
         return self._rat
 
     def to_complex(self) -> complex:
-        if self._z is not None:
-            return self._z
         if self._rat is not None:
             return complex(self._rat)
         w = cmath.exp(-2j * math.pi / self._k)
@@ -216,8 +208,6 @@ class Scalar:
 
     def embed(self, k: int) -> "Scalar":
         """Embed a rational, or a cyclotomic of order dividing k, into Q(w_k)."""
-        if self._z is not None:
-            return self
         if self._rat is not None:
             return Scalar._make_cyc(k, self._as_vec(k))
         if k == self._k:
@@ -233,65 +223,53 @@ class Scalar:
 
     # ---- arithmetic ----------------------------------------------------
 
-    def _binop(self, other, frac_op, vec_op, complex_op):
-        other = Scalar._coerce(other)
-        if self._z is not None or other._z is not None:
-            return Scalar(z=complex_op(self.to_complex(), other.to_complex()))
-        if self._rat is not None and other._rat is not None:
-            return Scalar(rat=frac_op(self._rat, other._rat))
-        k = self._k or other._k
-        return vec_op(self._as_vec(k), other._as_vec(k), k)
-
     def __add__(self, other):
         try:
-            return self._binop(
-                other,
-                lambda a, b: a + b,
-                lambda a, b, k: Scalar._make_cyc(k, tuple(x + y for x, y in zip(a, b))),
-                lambda a, b: a + b,
-            )
+            other = Scalar._coerce(other)
         except TypeError:
             return NotImplemented
+        if self._rat is not None and other._rat is not None:
+            return Scalar(rat=self._rat + other._rat)
+        k, a, b = self._common_field(other)
+        return Scalar._make_cyc(k, tuple(x + y for x, y in zip(a, b)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         try:
-            return self._binop(
-                other,
-                lambda a, b: a - b,
-                lambda a, b, k: Scalar._make_cyc(k, tuple(x - y for x, y in zip(a, b))),
-                lambda a, b: a - b,
-            )
+            other = Scalar._coerce(other)
         except TypeError:
             return NotImplemented
+        if self._rat is not None and other._rat is not None:
+            return Scalar(rat=self._rat - other._rat)
+        k, a, b = self._common_field(other)
+        return Scalar._make_cyc(k, tuple(x - y for x, y in zip(a, b)))
 
     def __rsub__(self, other):
         return Scalar._coerce(other).__sub__(self)
 
     def __mul__(self, other):
-        def vec_mul(a, b, k):
-            out = [_ZERO] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                if x == 0:
-                    continue
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] += x * y
-            return Scalar._make_cyc(k, _reduce_mod_cyclotomic(out, k))
-
         try:
-            return self._binop(other, lambda a, b: a * b, vec_mul, lambda a, b: a * b)
+            other = Scalar._coerce(other)
         except TypeError:
             return NotImplemented
+        if self._rat is not None and other._rat is not None:
+            return Scalar(rat=self._rat * other._rat)
+        k, a, b = self._common_field(other)
+        out = [_ZERO] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x == 0:
+                continue
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+        return Scalar._make_cyc(k, _reduce_mod_cyclotomic(out, k))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise ZeroDivisionError("scalar division by zero")
-        if self._z is not None:
-            return Scalar(z=1 / self._z)
         if self._rat is not None:
             return Scalar(rat=1 / self._rat)
         phi = [Fraction(c) for c in cyclotomic_polynomial(self._k)]
@@ -315,9 +293,7 @@ class Scalar:
     def __neg__(self):
         if self._rat is not None:
             return Scalar(rat=-self._rat)
-        if self._vec is not None:
-            return Scalar(k=self._k, vec=tuple(-c for c in self._vec))
-        return Scalar(z=-self._z)
+        return Scalar(k=self._k, vec=tuple(-c for c in self._vec))
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -340,22 +316,12 @@ class Scalar:
             return NotImplemented
         if self._rat is not None and other._rat is not None:
             return self._rat == other._rat
-        if self._vec is not None and other._vec is not None:
-            return self._k == other._k and self._vec == other._vec
-        if self._z is not None and other._z is not None:
-            return self._z == other._z
-        return False
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return NotImplemented if r is NotImplemented else not r
+        return self._k == other._k and self._vec == other._vec
 
     def __hash__(self):
         if self._rat is not None:
             return hash(("rat", self._rat))
-        if self._vec is not None:
-            return hash(("cyc", self._k, self._vec))
-        return hash(("z", self._z))
+        return hash(("cyc", self._k, self._vec))
 
     def __repr__(self):
         return f"Scalar({self})"
@@ -363,42 +329,55 @@ class Scalar:
     def __str__(self):
         if self._rat is not None:
             return str(self._rat)
-        if self._vec is not None:
-            return "[" + ", ".join(str(c) for c in self._vec) + f"]@w{self._k}"
-        return repr(self._z)
+        return "[" + ", ".join(str(c) for c in self._vec) + f"]@w{self._k}"
 
     # ---- serialization -------------------------------------------------
 
     def to_json(self):
         if self._rat is not None:
             return {"rat": [self._rat.numerator, self._rat.denominator]}
-        if self._vec is not None:
-            return {
-                "cyc": {
-                    "k": self._k,
-                    "vec": [[c.numerator, c.denominator] for c in self._vec],
-                }
+        return {
+            "cyc": {
+                "k": self._k,
+                "vec": [[c.numerator, c.denominator] for c in self._vec],
             }
-        return {"float": [self._z.real, self._z.imag]}
+        }
 
     @staticmethod
     def from_json(obj) -> "Scalar":
-        if "rat" in obj:
-            p, q = obj["rat"]
-            return Scalar.rational(p, q)
-        if "cyc" in obj:
-            k = obj["cyc"]["k"]
-            vec = tuple(Fraction(p, q) for p, q in obj["cyc"]["vec"])
-            return Scalar._make_cyc(k, _reduce_mod_cyclotomic(list(vec), k))
-        re, im = obj["float"]
-        return Scalar.complex_float(complex(re, im))
+        """Parse {"rat": [p, q]} or {"cyc": {"k": k, "vec": [[p, q], ...]}}
+        with integer p, q, k; anything else raises ValueError."""
+        try:
+            [(kind, data)] = obj.items()
+            if kind == "rat":
+                return Scalar(rat=_json_fraction(data))
+            if kind == "cyc" and isinstance(data["k"], int) and data["k"] >= 1:
+                vec = [_json_fraction(c) for c in data["vec"]]
+                return Scalar._make_cyc(data["k"], _reduce_mod_cyclotomic(vec, data["k"]))
+        except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError):
+            pass
+        raise ValueError(f"not an exact rat or cyc scalar: {obj!r}")
 
 
-def frac_binomial(r: Fraction, m: int) -> Fraction:
-    """Generalized binomial coefficient C(r, m) with rational upper index."""
+def _json_fraction(pair) -> Fraction:
+    p, q = pair
+    if not (isinstance(p, int) and isinstance(q, int)):
+        raise TypeError("rational coordinates must be integer pairs")
+    return Fraction(p, q)
+
+
+def binomial(r, m: int):
+    """Generalized binomial coefficient C(r, m), and 0 for m < 0.  An integer
+    r (an int, or a Fraction with denominator 1) gives an int, any other
+    rational r a Fraction."""
     if m < 0:
-        return Fraction(0)
+        return 0
+    if r.denominator == 1:
+        r = int(r)
+        if r >= 0:
+            return math.comb(r, m)
+        return (-1) ** m * math.comb(m - r - 1, m)
     out = Fraction(1)
     for i in range(m):
-        out *= (r - i)
+        out *= r - i
     return out / math.factorial(m)

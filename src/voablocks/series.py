@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Scalar, frac_binomial
+from .scalars import Scalar, binomial
 
 
 class TruncationError(ArithmeticError):
@@ -327,9 +327,6 @@ class FracLaurent:
         """Exact evaluation; refuses truncated series (sum their terms explicitly)."""
         if self.trunc is not None:
             raise TruncationError("evaluate called on a truncated series")
-        return self.evaluate_partial(x)
-
-    def evaluate_partial(self, x: Scalar) -> Scalar:
         x = x if isinstance(x, Scalar) else Scalar._coerce(x)
         total = Scalar.integer(0)
         for e, c in self.terms.items():
@@ -378,7 +375,7 @@ def binomial_expand(lead_pow, rel: FracLaurent, r: Fraction, order) -> "FracLaur
             power = (power * rel).truncate(order)
             if power.is_zero():
                 break
-            out = out + power.scale(Scalar.from_fraction(frac_binomial(r, m)))
+            out = out + power.scale(Scalar.from_fraction(binomial(r, m)))
             m += 1
     out = out.truncate(order)
     if isinstance(lead_pow, FracLaurent):

@@ -43,9 +43,6 @@ class TrivialModule:
     def basis(self, n):
         return ((),) if n == 0 else ()
 
-    def dim(self, n):
-        return 1 if n == 0 else 0
-
 
 def casimir_shells(module, grade: int):
     """Basis/dual-basis pairs spanning the grade-n Casimir element."""
@@ -125,20 +122,14 @@ def sew_propagate_commute_check(
     each sphere must be radially ordered.  Returns (ok, max_discrepancy,
     lhs, rhs); the comparison is exact on every shell both sides know.
     """
-    module = w.space
-    lhs_terms = {}
-    for g in range(q_cutoff + 1):
-        total = S0
-        for m, md in casimir_shells(module, g):
-            a_val = propagate_eval(vs_a, za, w, md, grade_cutoff).value
-            if a_val.is_zero():
-                continue
-            b_val = propagate_eval(vs_b, zb, m, wp, grade_cutoff).value
-            total = total + a_val * b_val
-        if not total.is_zero():
-            lhs_terms[Fraction(g)] = total
-    lhs = FracLaurent(qvar, 1, lhs_terms, trunc=q_cutoff + 1)
 
+    def block(m, md):
+        a_val = propagate_eval(vs_a, za, w, md, grade_cutoff).value
+        if a_val.is_zero():
+            return S0
+        return a_val * propagate_eval(vs_b, zb, m, wp, grade_cutoff).value
+
+    lhs = sew(block, w.space, q_cutoff, qvar)
     rhs = _sewn_block_expansion(vs_a, za, vs_b, zb, w, wp, q_cutoff, qvar)
 
     max_disc = 0.0

@@ -18,8 +18,7 @@ through the standard iterate identity
                                           - (-1)^p Y(v)_{p+n-l} Y(g)_l ],
 
 so no structure-constant tables are stored.  All values are immutable and the
-mode cache is only ever filled with deterministic pure results, so concurrent
-readers are safe.
+mode cache is only ever filled with deterministic pure results.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import Scalar, frac_binomial
+from .scalars import Scalar, binomial
 
 S0 = Scalar.integer(0)
 S1 = Scalar.integer(1)
@@ -41,15 +40,6 @@ class CutoffOverflow(Exception):
         super().__init__(f"weight {weight} exceeds cutoff {cutoff}")
         self.weight = weight
         self.cutoff = cutoff
-
-
-def int_binomial(p: int, l: int) -> int:
-    """C(p, l) for any integer upper index and l >= 0."""
-    if l < 0:
-        return 0
-    if p >= 0:
-        return math.comb(p, l) if l <= p else 0
-    return (-1) ** l * math.comb(l - p - 1, l)
 
 
 @lru_cache(maxsize=None)
@@ -110,9 +100,6 @@ class Algebra:
     def basis(self, n: int):
         raise NotImplementedError
 
-    def dim(self, n: int) -> int:
-        return len(self.basis(n))
-
     def mode_mono(self, u_mono, n: int, w_mono, module) -> dict:
         raise NotImplementedError
 
@@ -146,7 +133,7 @@ class _GeneratorAlgebra(Algebra):
         out = {}
         # sum_l (-1)^l C(p,l) Y(gen)_{p-l} Y(v)_{n+l} w
         for l in range(0, wt_vw - n):
-            c = int_binomial(p, l)
+            c = binomial(p, l)
             if c == 0:
                 continue
             sign = -1 if l % 2 else 1
@@ -157,7 +144,7 @@ class _GeneratorAlgebra(Algebra):
         # -(-1)^p sum_l (-1)^l C(p,l) Y(v)_{p+n-l} Y(gen)_l w
         psign = -1 if p % 2 else 1
         for l in self.gen_mode_support(w_mono, module):
-            c = int_binomial(p, l)
+            c = binomial(p, l)
             if c == 0:
                 continue
             sign = -1 if l % 2 else 1
@@ -406,9 +393,6 @@ class FockModule:
     def basis(self, n):
         return partitions(n, 1)
 
-    def dim(self, n):
-        return len(self.basis(n))
-
 
 def dual_of(module) -> "DualModule":
     """The canonical graded dual of a module (one instance per module)."""
@@ -442,9 +426,6 @@ class DualModule:
 
     def basis(self, n):
         return self.base.basis(n)
-
-    def dim(self, n):
-        return self.base.dim(n)
 
 
 # ---------------------------------------------------------------------------
@@ -539,19 +520,6 @@ class GradedVector:
     def coefficient(self, mono):
         return self.terms.get(tuple(mono), S0)
 
-    def to_json(self):
-        def cj(c):
-            return c.to_json() if isinstance(c, Scalar) else {"series": c.to_json()}
-
-        return [{"monomial": list(_flatten_mono(m)), "coeff": cj(c)} for m, c in sorted(self.terms.items())]
-
-
-def _flatten_mono(m):
-    # tensor monomials serialize as nested lists
-    if m and isinstance(m[0], tuple):
-        return [list(x) for x in m]
-    return list(m)
-
 
 # ---------------------------------------------------------------------------
 # public operations
@@ -618,7 +586,7 @@ def jacobi_difference(act, u: GradedVector, v: GradedVector, w: GradedVector, m,
     if k * (wt_u + wt_v - m - n - h - 2) + wt_w < 0:
         return total
     for l in range(wt_u + wt_v - n):
-        c = int_binomial(int(m), l) if m.denominator == 1 else frac_binomial(m, l)
+        c = binomial(m, l)
         if c == 0:
             continue
         inner = mode_action(u, n + l, v)
@@ -627,7 +595,7 @@ def jacobi_difference(act, u: GradedVector, v: GradedVector, w: GradedVector, m,
         total = total + act(inner, m + h - l, w).scale(c)
     # the product sums stop where the inner grade k (wt - index - 1) + wt_w < 0
     for l in range((k * (wt_v - h) + wt_w) // k):
-        c = int_binomial(n, l)
+        c = binomial(n, l)
         if c == 0:
             continue
         inner = act(v, h + l, w)
@@ -635,7 +603,7 @@ def jacobi_difference(act, u: GradedVector, v: GradedVector, w: GradedVector, m,
             continue
         total = total + act(u, m + n - l, inner).scale(-c if l % 2 == 0 else c)
     for l in range((k * (wt_u - m) + wt_w) // k):
-        c = int_binomial(n, l)
+        c = binomial(n, l)
         if c == 0:
             continue
         inner = act(u, m + l, w)

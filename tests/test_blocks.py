@@ -311,14 +311,13 @@ def test_block_data_passes_residue_criterion():
         )
 
 
-def test_pairing_block_equals_dual_pairing():
-    from voablocks.blocks import pairing_block
-
+def test_dual_pairing_vacuum_and_orthogonality():
+    # the two-point block on (0, infinity) is the dual pairing: basis against dual basis
     w = st(W, (2, 1))
     wp = GradedVector(WD, {(2, 1): rat(5), (1,): rat(3)})
-    assert pairing_block(w, wp) == dual_pairing(w, wp)
-    assert pairing_block(vac(W), vac(WD)) == Scalar.integer(1)
-    assert pairing_block(st(W, (1,)), st(WD, (2,))).is_zero()
+    assert dual_pairing(w, wp) == rat(5)
+    assert dual_pairing(vac(W), vac(WD)) == Scalar.integer(1)
+    assert dual_pairing(st(W, (1,)), st(WD, (2,))).is_zero()
 
 
 def test_duplicate_marked_points_rejected():

@@ -272,6 +272,20 @@ def _string_cutoff(tmp_path):
     return _config_file(tmp_path, {"subcommand": "jacobi-check", "cutoffs": {"L": "12"}})
 
 
+def _propagate_with_w(w):
+    def argv_for(tmp_path):
+        cfg = {
+            "subcommand": "propagate",
+            "points": ["1/2"],
+            "params": {"insertions": [[{"monomial": [1]}]], "w": w},
+        }
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(cfg))
+        return ["propagate", "--config", str(path)]
+
+    return argv_for
+
+
 def _negative_index_bound(tmp_path):
     path = tmp_path / "j.json"
     path.write_text(json.dumps({"subcommand": "jacobi-check", "params": {"index_bound": -1}}))
@@ -290,10 +304,19 @@ def _negative_index_bound(tmp_path):
         _list_params,
         _list_cutoffs,
         _string_cutoff,
+        _propagate_with_w([{"monomial": [], "coeff": {"float": [1.0, 0.0]}}]),
+        _propagate_with_w([{"monomial": [], "coeff": {"x": 1}}]),
+        _propagate_with_w([{"monomial": [], "coeff": {"rat": [1, 0]}}]),
+        _propagate_with_w({"monomial": []}),
+        _propagate_with_w([{"monomial": 2}]),
+        lambda tmp_path: _config_file(tmp_path, {"subcommand": "jacobi-check", "threads": "2"}),
+        lambda tmp_path: ["residue-check", "--threads", "0"],
+        lambda tmp_path: ["residue-check", "--threads", "-3"],
     ],
     ids=[
         "malformed-json", "degenerate-taylor", "unordered-points", "missing-config", "negative-grade", "zero-k",
-        "params-not-object", "cutoffs-not-object", "string-cutoff",
+        "params-not-object", "cutoffs-not-object", "string-cutoff", "float-coeff", "unknown-coeff",
+        "zero-denominator-coeff", "vector-not-list", "monomial-not-list", "string-threads", "zero-threads", "negative-threads",
     ],
 )
 def test_bad_input_gives_one_line_and_exit_2(argv_for, tmp_path, capsys):
@@ -349,4 +372,4 @@ def test_twist_modes_float_mode_converts_values(capsys):
     assert len(pairs) == 3
     for ex, fl in pairs:
         assert list(fl) == ["float"]
-        assert abs(Scalar.from_json(fl).to_complex() - Scalar.from_json(ex).to_complex()) <= 1e-12
+        assert abs(complex(*fl["float"]) - Scalar.from_json(ex).to_complex()) <= 1e-12

@@ -14,7 +14,7 @@ from voablocks.coordchange import (
     solve_coefficients,
     taylor_coefficients,
 )
-from voablocks.scalars import Scalar, frac_binomial
+from voablocks.scalars import Scalar, binomial
 from voablocks.series import FracLaurent
 from voablocks.voa import virasoro_mode
 
@@ -140,7 +140,7 @@ def test_kth_root_shift_taylor_data():
     rho = kth_root_shift(2, 4)
     tay = taylor_coefficients(rho, 4)
     for m, a in enumerate(tay, start=1):
-        expect = FracLaurent.monomial("s", 1 - 2 * m, Scalar.from_fraction(frac_binomial(Fraction(1, 2), m)))
+        expect = FracLaurent.monomial("s", 1 - 2 * m, Scalar.from_fraction(binomial(Fraction(1, 2), m)))
         assert a == expect
     # first coefficient for k = 3 is (1/3) s^-2
     rho3 = kth_root_shift(3, 4)

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from voablocks.scalars import Scalar, ScalarError, cyclotomic_polynomial, frac_binomial
+from voablocks.scalars import Scalar, ScalarError, binomial, cyclotomic_polynomial
 
 
 def test_root_of_unity_order():
@@ -58,13 +60,6 @@ def test_explicit_embedding():
     assert abs(lifted.to_complex() - w3.to_complex()) < 1e-14
 
 
-def test_float_promotion_is_one_way():
-    z = Scalar.complex_float(0.5 + 0.25j)
-    out = z + Scalar.rational(1, 2)
-    assert out.is_float()
-    assert abs(out.to_complex() - (1.0 + 0.25j)) < 1e-15
-
-
 def test_float_agreement_on_random_expressions():
     # exact cyclotomic expressions track their float evaluations to 1e-12
     random.seed(2024)
@@ -102,15 +97,103 @@ def test_json_round_trip():
     values = [
         Scalar.rational(-7, 3),
         Scalar.root_of_unity(3) * Scalar.rational(2, 5) + Scalar.integer(1),
-        Scalar.complex_float(1.5 - 2j),
     ]
     for v in values:
         assert Scalar.from_json(v.to_json()) == v
 
 
-def test_frac_binomial():
-    assert frac_binomial(Fraction(1, 2), 0) == 1
-    assert frac_binomial(Fraction(1, 2), 1) == Fraction(1, 2)
-    assert frac_binomial(Fraction(1, 2), 2) == Fraction(-1, 8)
-    assert frac_binomial(Fraction(1, 2), 3) == Fraction(1, 16)
-    assert frac_binomial(Fraction(3), 5) == 0
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"float": [1.5, -2.0]},
+        {"x": 1},
+        {"rat": [1, 0]},
+        {"rat": [1]},
+        {"rat": ["1", 2]},
+        {"rat": [1, 2], "cyc": {"k": 3, "vec": []}},
+        {"cyc": {"k": 0, "vec": [[1, 1]]}},
+        {"cyc": {"k": 3}},
+        {"cyc": {"k": 3, "vec": [[1, 1], [2, 0]]}},
+        [1, 2],
+        "1/2",
+    ],
+)
+def test_from_json_rejects_anything_but_rat_and_cyc(obj):
+    with pytest.raises(ValueError):
+        Scalar.from_json(obj)
+
+
+def test_binomial():
+    assert binomial(Fraction(1, 2), 0) == 1
+    assert binomial(Fraction(1, 2), 1) == Fraction(1, 2)
+    assert binomial(Fraction(1, 2), 2) == Fraction(-1, 8)
+    assert binomial(Fraction(1, 2), 3) == Fraction(1, 16)
+    assert binomial(Fraction(3), 5) == 0
+    assert binomial(-3, 2) == 6
+    assert binomial(-1, 5) == -1
+    assert binomial(2, 3) == 0
+    assert binomial(5, -1) == 0
+    # integer upper indices stay on the integer path
+    assert type(binomial(Fraction(-4), 3)) is int
+    assert type(binomial(Fraction(1, 3), 2)) is Fraction
+
+
+# ---- field laws, on random elements of Q and of Q(w_k) -----------------
+
+_coordinate = st.tuples(st.integers(-4, 4), st.integers(1, 4)).map(list)
+
+
+@st.composite
+def _same_field_triples(draw):
+    """(k, a, b, c): three elements of Q (k = None) or of Q(w_k), given by
+    small rational coordinates over 1, w, ..., w^(k-1)."""
+    k = draw(st.sampled_from([None, 3, 4, 5, 8, 12]))
+
+    def element():
+        if k is None:
+            return Scalar.from_json({"rat": draw(_coordinate)})
+        vec = draw(st.lists(_coordinate, min_size=1, max_size=k))
+        return Scalar.from_json({"cyc": {"k": k, "vec": vec}})
+
+    return k, element(), element(), element()
+
+
+_field_law_settings = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+
+
+@_field_law_settings
+@given(_same_field_triples())
+def test_field_laws(triple):
+    _, a, b, c = triple
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert (a - a).is_zero()
+    assert (a + (-a)).is_zero()
+    assert a - b == a + (-b)
+    if not a.is_zero():
+        assert a * a.inverse() == Scalar.integer(1)
+
+
+@_field_law_settings
+@given(_same_field_triples())
+def test_equal_values_hash_equal(triple):
+    _, a, b, _ = triple
+    for x, y in (((a + b) - a, b), (a * b, b * a), ((a + 1) - a, Scalar.integer(1))):
+        assert x == y
+        assert hash(x) == hash(y)
+    # (a + 1) - a demotes to the rational 1 even when a is cyclotomic
+    assert ((a + 1) - a).is_rational()
+
+
+@_field_law_settings
+@given(_same_field_triples())
+def test_embedding_and_float_value_preserve_sum_and_product(triple):
+    k, a, b, _ = triple
+    m = 2 * (k or 1)
+    assert (a + b).embed(m) == a.embed(m) + b.embed(m)
+    assert (a * b).embed(m) == a.embed(m) * b.embed(m)
+    for exact, approx in ((a + b, a.to_complex() + b.to_complex()), (a * b, a.to_complex() * b.to_complex())):
+        assert abs(exact.to_complex() - approx) <= 1e-9 * max(1.0, abs(approx))
