@@ -431,8 +431,7 @@ def propagate_eval(vs, zs, w: GradedVector, wp: GradedVector, cutoff: int, keep=
     for v, z in zip(vs[:-1], zs[:-1]):
         state = _apply_field(v, z, state, cutoff)
     shells = []
-    for g in sorted(state.weight_components()):
-        part = state.weight_components()[g]
+    for g, part in sorted(state.weight_components().items()):
         acted = _apply_field(vs[-1], zs[-1], part, cutoff)
         shells.append((g, dual_pairing(acted, wp)))
     total = S0

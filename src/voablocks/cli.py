@@ -11,6 +11,7 @@ Exit status is nonzero whenever a checked identity fails.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -36,7 +37,7 @@ from .voa import (
     HeisenbergAlgebra,
     dual_of,
     dual_pairing,
-    jacobi_difference,
+    jacobi_sweep,
     mode_action,
     tensor_vector,
 )
@@ -154,10 +155,11 @@ def _vector_from_json(space, data, path):
         mono = entry["monomial"]
         if not isinstance(mono, list):
             raise ConfigError(f"{path}[{i}].monomial", "must be a list")
-        if mono and isinstance(mono[0], list):
-            mono = tuple(tuple(m) for m in mono)
-        else:
-            mono = tuple(mono)
+        # Heisenberg and Fock basis monomials are partitions: a_{-n1} ... a_{-nj}
+        # with n1 >= ... >= nj >= 1
+        if not all(type(p) is int and p >= 1 for p in mono) or mono != sorted(mono, reverse=True):
+            raise ConfigError(f"{path}[{i}].monomial", "must be a weakly decreasing list of positive integers")
+        mono = tuple(mono)
         coef = entry.get("coeff", 1)
         if isinstance(coef, dict):
             try:
@@ -166,7 +168,7 @@ def _vector_from_json(space, data, path):
                 raise ConfigError(f"{path}[{i}].coeff", str(exc))
         else:
             coef = Scalar.from_fraction(_parse_rational(coef, f"{path}[{i}].coeff"))
-        terms[mono] = coef
+        terms[mono] = terms[mono] + coef if mono in terms else coef
     return GradedVector(space, terms)
 
 
@@ -438,17 +440,15 @@ def _run_jacobi_check(cfg: RunConfig):
         for wm in W.basis(gw)
     ]
 
+    idx = range(-bound, bound + 1)
+
     def check(triple):
         um, vm, wm = triple
         u = GradedVector.state(alg, um)
         v = GradedVector.state(alg, vm)
         w = GradedVector.state(W, wm)
-        for m in range(-bound, bound + 1):
-            for n in range(-bound, bound + 1):
-                for h in range(-bound, bound + 1):
-                    if not jacobi_difference(mode_action, u, v, w, m, n, h).is_zero():
-                        return False
-        return True
+        sweep = jacobi_sweep(mode_action, u, v, w, itertools.product(idx, idx, idx))
+        return all(diff.is_zero() for diff in sweep)
 
     failed = [t for t in triples if not check(t)]
     lines = [

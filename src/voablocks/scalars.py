@@ -27,6 +27,12 @@ class ScalarError(ArithmeticError):
     pass
 
 
+# Largest cyclotomic order ``Scalar.from_json`` accepts: reducing modulo the
+# k-th cyclotomic polynomial costs about k^2, so unbounded input orders would
+# let a config file stall the parser.
+MAX_CYCLOTOMIC_ORDER = 1000
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(k: int) -> tuple:
     """Coefficients (ascending, integer) of the k-th cyclotomic polynomial."""
@@ -346,7 +352,11 @@ class Scalar:
     @staticmethod
     def from_json(obj) -> "Scalar":
         """Parse {"rat": [p, q]} or {"cyc": {"k": k, "vec": [[p, q], ...]}}
-        with integer p, q, k; anything else raises ValueError."""
+        with integer p, q and 1 <= k <= MAX_CYCLOTOMIC_ORDER; anything else
+        raises ValueError."""
+        cyc = obj.get("cyc") if isinstance(obj, dict) else None
+        if isinstance(cyc, dict) and isinstance(cyc.get("k"), int) and cyc["k"] > MAX_CYCLOTOMIC_ORDER:
+            raise ValueError(f"cyclotomic order k={cyc['k']} exceeds the limit {MAX_CYCLOTOMIC_ORDER}")
         try:
             [(kind, data)] = obj.items()
             if kind == "rat":

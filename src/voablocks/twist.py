@@ -34,7 +34,7 @@ from .voa import (
     cycle_rotate,
     dual_of,
     dual_pairing,
-    jacobi_difference,
+    jacobi_sweep,
     mode_action,
     tensor_vector,
 )
@@ -447,20 +447,21 @@ def check_jacobi(
     worst = 0.0
     ok = True
     # the difference vector has grade k (wt_u + wt_v - mu - n - h - 2) + wt_w,
-    # so only that grade of w' can pair with it; jacobi_difference checks
-    # that u, v and w are homogeneous
+    # so only that grade of w' can pair with it; jacobi_sweep checks that u,
+    # v and w are homogeneous
     wt_wp = wp.homogeneous_weight()
     top = k * (u.max_weight() + v.max_weight() - 2) + w.max_weight()
     for j, uj in eigencomponents(u, k).items():
-        for m in m_values:
-            mu = Fraction(j, k) + m
-            for n in n_values:
-                for h in h_values:
-                    h = Fraction(h)
-                    if top - int(k * (mu + n + h)) != wt_wp:
-                        continue
-                    diff = dual_pairing(jacobi_difference(tw.mode_apply, uj, v, w, mu, n, h, k), wp)
-                    if not diff.is_zero():
-                        ok = False
-                        worst = max(worst, abs(diff.to_complex()))
+        instances = [
+            (mu, n, h)
+            for mu in (Fraction(j, k) + m for m in m_values)
+            for n in n_values
+            for h in map(Fraction, h_values)
+            if top - int(k * (mu + n + h)) == wt_wp
+        ]
+        for diff in jacobi_sweep(tw.mode_apply, uj, v, w, instances, k):
+            val = dual_pairing(diff, wp)
+            if not val.is_zero():
+                ok = False
+                worst = max(worst, abs(val.to_complex()))
     return ok, worst

@@ -565,52 +565,74 @@ def mode_action(u: GradedVector, n, w: GradedVector) -> GradedVector:
     return GradedVector(module, out)
 
 
-def jacobi_difference(act, u: GradedVector, v: GradedVector, w: GradedVector, m, n: int, h, k: int = 1):
-    """lhs - rhs of the Jacobi (Borcherds) identity applied to w:
+def jacobi_sweep(act, u: GradedVector, v: GradedVector, w: GradedVector, instances, k: int = 1):
+    """Yield lhs - rhs of the Jacobi (Borcherds) identity applied to w,
 
         sum_l C(m, l) Y(Y(u)_{n+l} v)_{m+h-l} w
           - sum_l C(n, l) (-1)^l     Y(u)_{m+n-l} Y(v)_{h+l} w
-          + sum_l C(n, l) (-1)^(n-l) Y(v)_{n+h-l} Y(u)_{m+l} w
+          + sum_l C(n, l) (-1)^(n-l) Y(v)_{n+h-l} Y(u)_{m+l} w,
+
+    for each (m, n, h) of ``instances``, in order.
 
     ``act(x, p, y)`` is the module action Y(x)_p y: ``mode_action``, or the
     g-twisted action of V^(x)k on a module graded by k times its twisted
     weight, where m (for a g-eigencomponent u) and h lie in (1/k)Z.  The
     iterate Y(u)_{n+l} v is always taken in the algebra.  Every sum stops
     where lower truncation kills its terms, so the identity holds on
-    (u, v, w, m, n, h) exactly when the result is zero."""
+    (u, v, w, m, n, h) exactly when the difference is zero.
+
+    The instances of one (u, v, w) share most of their actions, so each is
+    computed once per call: the memo is keyed on the action's role and its
+    exact indices (u, v and w are fixed, so no vector is hashed), and it is
+    dropped when the sweep ends."""
     wt_u, wt_v, wt_w = (x.homogeneous_weight() for x in (u, v, w))
     if wt_u is None or wt_v is None or wt_w is None:
         raise ValueError("u, v and w must be homogeneous and nonzero")
-    total = GradedVector(w.space)
-    # every term has grade k (wt_u + wt_v - m - n - h - 2) + wt_w
-    if k * (wt_u + wt_v - m - n - h - 2) + wt_w < 0:
-        return total
-    for l in range(wt_u + wt_v - n):
-        c = binomial(m, l)
-        if c == 0:
-            continue
-        inner = mode_action(u, n + l, v)
-        if inner.is_zero():
-            continue
-        total = total + act(inner, m + h - l, w).scale(c)
-    # the product sums stop where the inner grade k (wt - index - 1) + wt_w < 0
-    for l in range((k * (wt_v - h) + wt_w) // k):
-        c = binomial(n, l)
-        if c == 0:
-            continue
-        inner = act(v, h + l, w)
-        if inner.is_zero():
-            continue
-        total = total + act(u, m + n - l, inner).scale(-c if l % 2 == 0 else c)
-    for l in range((k * (wt_u - m) + wt_w) // k):
-        c = binomial(n, l)
-        if c == 0:
-            continue
-        inner = act(u, m + l, w)
-        if inner.is_zero():
-            continue
-        total = total + act(v, n + h - l, inner).scale(c if (n - l) % 2 == 0 else -c)
-    return total
+    memo = {}
+
+    def once(key, f, x, p, y):
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = f(x, p, y)
+        return hit
+
+    def add(total, vec, c):
+        for mono, x in vec.terms.items():
+            _acc(total, mono, x * c)
+
+    for m, n, h in instances:
+        total = {}
+        # every term has grade k (wt_u + wt_v - m - n - h - 2) + wt_w
+        if k * (wt_u + wt_v - m - n - h - 2) + wt_w >= 0:
+            for l in range(wt_u + wt_v - n):
+                c = binomial(m, l)
+                if c == 0:
+                    continue
+                inner = once(("uv", n + l), mode_action, u, n + l, v)
+                if not inner.is_zero():
+                    add(total, once(("uvw", n + l, m + h - l), act, inner, m + h - l, w), c)
+            # the product sums stop where the inner grade k (wt - index - 1) + wt_w < 0
+            for l in range((k * (wt_v - h) + wt_w) // k):
+                c = binomial(n, l)
+                if c == 0:
+                    continue
+                inner = once(("vw", h + l), act, v, h + l, w)
+                if not inner.is_zero():
+                    add(total, once(("uvw2", h + l, m + n - l), act, u, m + n - l, inner), -c if l % 2 == 0 else c)
+            for l in range((k * (wt_u - m) + wt_w) // k):
+                c = binomial(n, l)
+                if c == 0:
+                    continue
+                inner = once(("uw", m + l), act, u, m + l, w)
+                if not inner.is_zero():
+                    add(total, once(("vuw", m + l, n + h - l), act, v, n + h - l, inner), c if (n - l) % 2 == 0 else -c)
+        yield GradedVector(w.space, total)
+
+
+def jacobi_difference(act, u: GradedVector, v: GradedVector, w: GradedVector, m, n: int, h, k: int = 1):
+    """lhs - rhs of the Jacobi identity on the one instance (m, n, h); see
+    ``jacobi_sweep``."""
+    return next(jacobi_sweep(act, u, v, w, [(m, n, h)], k))
 
 
 def conformal_vector(alg: Algebra) -> GradedVector:

@@ -309,6 +309,10 @@ def _negative_index_bound(tmp_path):
         _propagate_with_w([{"monomial": [], "coeff": {"rat": [1, 0]}}]),
         _propagate_with_w({"monomial": []}),
         _propagate_with_w([{"monomial": 2}]),
+        _propagate_with_w([{"monomial": [2, 1]}, {"monomial": [1, 2]}]),
+        _propagate_with_w([{"monomial": [1, 0]}]),
+        _propagate_with_w([{"monomial": [1.0]}]),
+        _propagate_with_w([{"monomial": [], "coeff": {"cyc": {"k": 10**9, "vec": [[1, 1]]}}}]),
         lambda tmp_path: _config_file(tmp_path, {"subcommand": "jacobi-check", "threads": "2"}),
         lambda tmp_path: ["residue-check", "--threads", "0"],
         lambda tmp_path: ["residue-check", "--threads", "-3"],
@@ -316,7 +320,9 @@ def _negative_index_bound(tmp_path):
     ids=[
         "malformed-json", "degenerate-taylor", "unordered-points", "missing-config", "negative-grade", "zero-k",
         "params-not-object", "cutoffs-not-object", "string-cutoff", "float-coeff", "unknown-coeff",
-        "zero-denominator-coeff", "vector-not-list", "monomial-not-list", "string-threads", "zero-threads", "negative-threads",
+        "zero-denominator-coeff", "vector-not-list", "monomial-not-list", "non-canonical-monomial",
+        "zero-part-monomial", "float-part-monomial", "huge-cyclotomic-order", "string-threads", "zero-threads",
+        "negative-threads",
     ],
 )
 def test_bad_input_gives_one_line_and_exit_2(argv_for, tmp_path, capsys):
@@ -324,6 +330,33 @@ def test_bad_input_gives_one_line_and_exit_2(argv_for, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+def test_non_canonical_monomial_names_the_term(tmp_path, capsys):
+    # a_{-1} a_{-2} |0> is the basis state (2, 1); read as a distinct key it
+    # used to pair to 0 against (2, 1) and report a false identity failure
+    cfg = {
+        "subcommand": "propagate",
+        "params": {"w": [{"monomial": [2, 1]}], "wp": [{"monomial": [1, 2]}]},
+    }
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["propagate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error at params.wp[0].monomial:")
+
+
+def test_repeated_monomials_add_up(tmp_path, capsys):
+    cfg = {
+        "subcommand": "propagate",
+        "params": {
+            "w": [{"monomial": [1], "coeff": 1}, {"monomial": [1], "coeff": 2}],
+            "wp": [{"monomial": [1]}],
+        },
+    }
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["propagate", "--config", str(path)]) == 0
+    assert "# exact partial sum\t3\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

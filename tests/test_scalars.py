@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voablocks import scalars
 from voablocks.scalars import Scalar, ScalarError, binomial, cyclotomic_polynomial
 
 
@@ -121,6 +122,20 @@ def test_json_round_trip():
 def test_from_json_rejects_anything_but_rat_and_cyc(obj):
     with pytest.raises(ValueError):
         Scalar.from_json(obj)
+
+
+def test_from_json_bounds_the_cyclotomic_order(monkeypatch):
+    k = scalars.MAX_CYCLOTOMIC_ORDER
+    assert Scalar.from_json({"cyc": {"k": k, "vec": [[0, 1], [1, 1]]}}) == Scalar.root_of_unity(k)
+
+    def refuse(order):
+        raise AssertionError(f"cyclotomic_polynomial({order}) called on an order above the bound")
+
+    # the bound is checked before any cyclotomic arithmetic starts
+    monkeypatch.setattr(scalars, "cyclotomic_polynomial", refuse)
+    for order in (k + 1, 10**9):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            Scalar.from_json({"cyc": {"k": order, "vec": [[1, 1]]}})
 
 
 def test_binomial():

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from voablocks.voa import (
     cycle_rotate,
     dual_of,
     dual_pairing,
+    jacobi_difference,
     mode_action,
     tensor_vector,
 )
@@ -239,6 +241,31 @@ def test_twisted_jacobi_k3_sample():
             tw, u, u, vac(W), st(WD, pm), range(-2, 3), range(-2, 3), hs
         )
         assert ok, (pm, worst)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_check_jacobi_sweep_matches_one_instance_at_a_time(k):
+    # an index-dependent factor on the twisted action breaks the identity,
+    # so ok and the worst violation both depend on every memo key being exact
+    tw = TwistedModule(W, k)
+    exact = tw.mode_apply
+    tw.mode_apply = lambda x, p, y: exact(x, p, y).scale(Scalar.from_fraction(Fraction(p) + 5))
+    u = tensor_vector(tw.tensor, [A] + [VAC] * (k - 1))
+    w = vac(W)
+    ms = ns = range(-1, 2)
+    hs = [Fraction(x, k) for x in range(-k, k + 1)]
+    violated = False
+    for pm in ((), (1,), (2,), (1, 1)):
+        wp = st(WD, pm)
+        ok, worst = True, 0.0
+        for j, uj in eigencomponents(u, k).items():
+            for m, n, h in itertools.product(ms, ns, hs):
+                diff = dual_pairing(jacobi_difference(tw.mode_apply, uj, u, w, Fraction(j, k) + m, n, h, k), wp)
+                if not diff.is_zero():
+                    ok, worst = False, max(worst, abs(diff.to_complex()))
+        assert check_jacobi(tw, u, u, w, wp, ms, ns, hs) == (ok, worst)
+        violated = violated or not ok
+    assert violated
 
 
 def test_factorization_convergence():

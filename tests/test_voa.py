@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -18,6 +19,7 @@ from voablocks.voa import (
     dual_of,
     dual_pairing,
     jacobi_difference,
+    jacobi_sweep,
     mode_action,
     tensor_vector,
     virasoro_mode,
@@ -224,6 +226,61 @@ def test_jacobi_difference_detects_a_wrong_module_action():
             doubled = jacobi_difference(lambda x, p, y: mode_action(x, p, y).scale(2), u, v, w, m, n, h)
             caught += not doubled.is_zero()
     assert caught > 0
+
+
+def _sweep_slice():
+    # the grade <= 2, |m|, |n|, |h| <= 2 slice of the untwisted sweep
+    W = fock(H, 0)
+    monos = [m for g in range(0, 3) for m in H.basis(g)]
+    triples = [
+        (st(H, um), st(H, vm), GradedVector.state(W, wm)) for um, vm, wm in itertools.product(monos, repeat=3)
+    ]
+    return triples, list(itertools.product(range(-2, 3), repeat=3))
+
+
+@pytest.mark.parametrize(
+    "act",
+    [
+        # an index-dependent factor: a memo key that drops or swaps an index
+        # returns a different nonzero vector
+        lambda x, p, y: mode_action(x, p, y).scale(p + 5),
+        lambda x, p, y: mode_action(x, p, y).scale(2),
+    ],
+    ids=["index-scaled", "doubled"],
+)
+def test_jacobi_sweep_matches_one_instance_at_a_time(act):
+    triples, inst = _sweep_slice()
+    nonzero = 0
+    for u, v, w in triples:
+        swept = list(jacobi_sweep(act, u, v, w, inst))
+        assert swept == [jacobi_difference(act, u, v, w, *i) for i in inst]
+        nonzero += sum(not d.is_zero() for d in swept)
+    assert nonzero > 0
+
+
+def test_jacobi_sweep_makes_each_action_once(monkeypatch):
+    # every action of one triple's sweep, the algebra iterate included, goes
+    # through the counter; none may be made twice
+    from voablocks import voa
+
+    calls = collections.Counter()
+
+    def counted(x, p, y):
+        calls[(x, p, y)] += 1
+        return mode_action(x, p, y)
+
+    monkeypatch.setattr(voa, "mode_action", counted)
+    W = fock(H, 0)
+    u, v, w = A, st(H, (2,)), st(W, (1, 1))
+    _, inst = _sweep_slice()
+    diffs = list(jacobi_sweep(counted, u, v, w, inst))
+    assert len(diffs) == len(inst) and all(d.is_zero() for d in diffs)
+    assert max(calls.values()) == 1
+    swept = sum(calls.values())
+    calls.clear()
+    for i in inst:
+        jacobi_difference(counted, u, v, w, *i)
+    assert swept < sum(calls.values()) / 4
 
 
 def test_jacobi_difference_rejects_inhomogeneous_input():
