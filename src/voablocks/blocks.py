@@ -378,10 +378,14 @@ class PropagationResult:
     exact: bool
 
 
-def _apply_field(v: GradedVector, z: Scalar, state: GradedVector, cutoff: int) -> GradedVector:
-    """sum_n z^{-n-1} Y(v)_n state, keeping output grades <= cutoff."""
+def _apply_field(v: GradedVector, z: Scalar, state: GradedVector, cutoff: int, zpows=None) -> GradedVector:
+    """sum_n z^{-n-1} Y(v)_n state, keeping output grades <= cutoff.
+
+    ``zpows`` maps an exponent e to z^e; calls with the same z may share it."""
     module = state.space
     alg = module.algebra
+    if zpows is None:
+        zpows = {}
     out = GradedVector(module)
     acc = {}
     for vm, vc in v.terms.items():
@@ -392,7 +396,10 @@ def _apply_field(v: GradedVector, z: Scalar, state: GradedVector, cutoff: int) -
                 res = alg.mode_mono(vm, n, sm, module)
                 if not res:
                     continue
-                zf = z ** (-n - 1) * vc * sc
+                zn = zpows.get(-n - 1)
+                if zn is None:
+                    zn = zpows[-n - 1] = z ** (-n - 1)
+                zf = zn * vc * sc
                 for m, c in res.items():
                     if m in acc:
                         acc[m] = acc[m] + c * zf
@@ -431,8 +438,9 @@ def propagate_eval(vs, zs, w: GradedVector, wp: GradedVector, cutoff: int, keep=
     for v, z in zip(vs[:-1], zs[:-1]):
         state = _apply_field(v, z, state, cutoff)
     shells = []
+    zpows = {}
     for g, part in sorted(state.weight_components().items()):
-        acted = _apply_field(vs[-1], zs[-1], part, cutoff)
+        acted = _apply_field(vs[-1], zs[-1], part, cutoff, zpows)
         shells.append((g, dual_pairing(acted, wp)))
     total = S0
     for _, s in shells:

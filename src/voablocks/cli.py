@@ -146,7 +146,7 @@ class RunConfig:
 def _vector_from_json(space, data, path):
     if not isinstance(data, list):
         raise ConfigError(path, "must be a list of terms")
-    terms = {}
+    total = GradedVector(space)
     for i, entry in enumerate(data):
         if not isinstance(entry, dict):
             raise ConfigError(f"{path}[{i}]", "must be a JSON object")
@@ -155,11 +155,10 @@ def _vector_from_json(space, data, path):
         mono = entry["monomial"]
         if not isinstance(mono, list):
             raise ConfigError(f"{path}[{i}].monomial", "must be a list")
-        # Heisenberg and Fock basis monomials are partitions: a_{-n1} ... a_{-nj}
-        # with n1 >= ... >= nj >= 1
-        if not all(type(p) is int and p >= 1 for p in mono) or mono != sorted(mono, reverse=True):
-            raise ConfigError(f"{path}[{i}].monomial", "must be a weakly decreasing list of positive integers")
-        mono = tuple(mono)
+        try:
+            term = GradedVector.state(space, mono)
+        except ValueError as exc:
+            raise ConfigError(f"{path}[{i}].monomial", str(exc))
         coef = entry.get("coeff", 1)
         if isinstance(coef, dict):
             try:
@@ -168,8 +167,8 @@ def _vector_from_json(space, data, path):
                 raise ConfigError(f"{path}[{i}].coeff", str(exc))
         else:
             coef = Scalar.from_fraction(_parse_rational(coef, f"{path}[{i}].coeff"))
-        terms[mono] = terms[mono] + coef if mono in terms else coef
-    return GradedVector(space, terms)
+        total = total + term.scale(coef)
+    return total
 
 
 # ---------------------------------------------------------------------------

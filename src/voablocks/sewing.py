@@ -43,6 +43,10 @@ class TrivialModule:
     def basis(self, n):
         return ((),) if n == 0 else ()
 
+    def check_mono(self, mono):
+        if mono != ():
+            raise ValueError(f"{mono!r} is not a basis monomial: the trivial module has only ()")
+
 
 def casimir_shells(module, grade: int):
     """Basis/dual-basis pairs spanning the grade-n Casimir element."""

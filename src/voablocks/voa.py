@@ -17,7 +17,13 @@ through the standard iterate identity
     Y(Y(g)_p v)_n = sum_l (-1)^l C(p,l) [ Y(g)_{p-l} Y(v)_{n+l}
                                           - (-1)^p Y(v)_{p+n-l} Y(g)_l ],
 
-so no structure-constant tables are stored.  All values are immutable and the
+so no structure-constant tables are stored.  The recursion stops at the
+generator descendants u = Y(g)_{-j-1}|0>, whose modes have the closed form
+of the creation and translation properties,
+
+    Y(Y(g)_{-j-1}|0>)_n = (-1)^j C(n, j) Y(g)_{n-j},
+
+and at the vacuum, Y(|0>)_n = delta_{n,-1}.  All values are immutable and the
 mode cache is only ever filled with deterministic pure results.
 """
 
@@ -64,6 +70,17 @@ def _acc(d, mono, coef):
         d[mono] = coef
 
 
+def _check_partition(mono, min_part: int):
+    # basis monomials of the partition-labelled spaces: n1 >= ... >= nm >= min_part
+    if not (
+        all(type(p) is int and p >= min_part for p in mono)
+        and all(a >= b for a, b in zip(mono, mono[1:]))
+    ):
+        raise ValueError(
+            f"{list(mono)} is not a basis monomial: parts must be weakly decreasing integers >= {min_part}"
+        )
+
+
 def _insert_part(mono, p):
     # Insert p into a descending tuple.
     for i, q in enumerate(mono):
@@ -100,12 +117,28 @@ class Algebra:
     def basis(self, n: int):
         raise NotImplementedError
 
+    def check_mono(self, mono):
+        """Raise ValueError unless ``mono`` is a basis monomial of the space."""
+        raise NotImplementedError
+
     def mode_mono(self, u_mono, n: int, w_mono, module) -> dict:
         raise NotImplementedError
 
 
 class _GeneratorAlgebra(Algebra):
-    """Shared recursion for algebras generated by a single field."""
+    """Shared recursion for algebras generated by a single field; basis
+    monomials are partitions with parts >= ``min_part``."""
+
+    min_part = 1
+
+    def weight(self, mono):
+        return sum(mono)
+
+    def basis(self, n):
+        return partitions(n, self.min_part)
+
+    def check_mono(self, mono):
+        _check_partition(mono, self.min_part)
 
     def peel(self, u_mono):
         """Split u = Y(gen)_p v, returning (p, v)."""
@@ -129,6 +162,13 @@ class _GeneratorAlgebra(Algebra):
             self._mode_cache[key] = out
             return out
         p, v_mono = self.peel(u_mono)
+        if v_mono == ():
+            # u = Y(gen)_{-j-1}|0> with j = -p-1: Y(u)_n = (-1)^j C(n, j) Y(gen)_{n-j}
+            j = -p - 1
+            c = Scalar.integer((-1) ** j * binomial(n, j))
+            out = {} if c.is_zero() else {m: x * c for m, x in self.gen_mode(n - j, w_mono, module).items()}
+            self._mode_cache[key] = out
+            return out
         wt_vw = self.weight(v_mono) + module.weight(w_mono)
         out = {}
         # sum_l (-1)^l C(p,l) Y(gen)_{p-l} Y(v)_{n+l} w
@@ -163,12 +203,6 @@ class HeisenbergAlgebra(_GeneratorAlgebra):
     kind = "heisenberg"
     momentum = S0  # as its own (adjoint) module the zero mode acts by 0
 
-    def weight(self, mono):
-        return sum(mono)
-
-    def basis(self, n):
-        return partitions(n, 1)
-
     def conformal_monos(self):
         # c = (1/2) a_{-1} a_{-1} |0>
         return {(1, 1): Scalar.rational(1, 2)}
@@ -202,17 +236,12 @@ class VirasoroAlgebra(_GeneratorAlgebra):
     """Universal Virasoro vacuum module at an exact central charge."""
 
     kind = "virasoro"
+    min_part = 2
 
     def __init__(self, central_charge, cutoff: int):
         super().__init__(cutoff)
         c = central_charge
         self.central_charge = c if isinstance(c, Scalar) else Scalar._coerce(c)
-
-    def weight(self, mono):
-        return sum(mono)
-
-    def basis(self, n):
-        return partitions(n, 2)
 
     def conformal_monos(self):
         return {(2,): S1}
@@ -295,6 +324,12 @@ class TensorPowerAlgebra(Algebra):
 
         rec(0, n, ())
         return tuple(out)
+
+    def check_mono(self, mono):
+        if len(mono) != self.k or not all(type(m) is tuple for m in mono):
+            raise ValueError(f"{mono!r} is not a basis monomial: expected {self.k} slot tuples")
+        for m in mono:
+            self.base.check_mono(m)
 
     def vacuum_mono(self):
         return ((),) * self.k
@@ -393,6 +428,9 @@ class FockModule:
     def basis(self, n):
         return partitions(n, 1)
 
+    def check_mono(self, mono):
+        _check_partition(mono, 1)
+
 
 def dual_of(module) -> "DualModule":
     """The canonical graded dual of a module (one instance per module)."""
@@ -427,6 +465,9 @@ class DualModule:
     def basis(self, n):
         return self.base.basis(n)
 
+    def check_mono(self, mono):
+        self.base.check_mono(mono)
+
 
 # ---------------------------------------------------------------------------
 # graded vectors
@@ -453,7 +494,11 @@ class GradedVector:
 
     @staticmethod
     def state(space, mono, coef=1):
-        return GradedVector(space, {tuple(mono): coef})
+        """coef times one basis state; ValueError unless ``mono`` is a basis
+        monomial of ``space``.  Other constructors take monomials unchecked."""
+        mono = tuple(mono)
+        space.check_mono(mono)
+        return GradedVector(space, {mono: coef})
 
     @staticmethod
     def vacuum(space):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from support import heis, rat, st
 from voablocks.coordchange import (
@@ -70,6 +72,32 @@ def test_invert_round_trip():
         rho = _random_coordchange(rng, order=6)
         inv = invert(rho, 8)
         assert compose(rho, inv, 8) == CoordChange.identity()
+
+
+_small_rational = hst.builds(Scalar.rational, hst.integers(-3, 3), hst.integers(1, 3))
+_coordchange = hst.builds(
+    CoordChange,
+    hst.builds(Scalar.rational, hst.integers(-4, 4).filter(bool), hst.integers(1, 3)),
+    hst.lists(_small_rational, max_size=4),
+)
+_group_law_settings = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+_GROUP_ORDER = 6
+
+
+@_group_law_settings
+@given(_coordchange, _coordchange, _coordchange)
+def test_compose_is_associative(r1, r2, r3):
+    n = _GROUP_ORDER
+    assert compose(compose(r1, r2, n), r3, n) == compose(r1, compose(r2, r3, n), n)
+
+
+@_group_law_settings
+@given(_coordchange)
+def test_invert_is_a_two_sided_inverse(rho):
+    n = _GROUP_ORDER
+    inv = invert(rho, n)
+    assert compose(rho, inv, n) == CoordChange.identity()
+    assert compose(inv, rho, n) == CoordChange.identity()
 
 
 def test_apply_identity_and_dilation():

@@ -5,8 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from support import fock, heis, rat, st, vac
+from voablocks.blocks import propagate_eval
 from voablocks.scalars import Scalar
 from voablocks.voa import (
     CutoffOverflow,
@@ -326,3 +329,130 @@ def test_contragredient_mode_consistency():
                     uj = virasoro_mode(1, uj)
                     j += 1
                 assert img.coefficient(b) == val
+
+
+# ---------------------------------------------------------------------------
+# the generator-descendant base case of mode_mono, checked through axioms that
+# do not mention its formula
+
+
+_CENTRAL_CHARGES = {"virasoro-1/2": rat(1, 2), "virasoro--22/5": rat(-22, 5)}
+_MOMENTA = {"heisenberg": None, "fock-0": rat(0), "fock-2/3": rat(2, 3)}
+
+
+def _mode_space(name):
+    """(algebra, module) of one of the spaces the base-case tests cover."""
+    if name in _CENTRAL_CHARGES:
+        alg = VirasoroAlgebra(_CENTRAL_CHARGES[name], cutoff=30)
+        return alg, alg
+    alg = heis(30)
+    return alg, alg if _MOMENTA[name] is None else fock(alg, _MOMENTA[name])
+
+
+@pytest.mark.parametrize("name", [*_MOMENTA, *_CENTRAL_CHARGES])
+def test_translation_property(name):
+    # Y(L_{-1} u)_n w = -n Y(u)_{n-1} w for every basis u of grade <= 5
+    alg, module = _mode_space(name)
+    checked = 0
+    for gu in range(6):
+        for um in alg.basis(gu):
+            u = st(alg, um)
+            du = virasoro_mode(-1, u)
+            for gw in range(4):
+                for wm in module.basis(gw):
+                    w = st(module, wm)
+                    for n in range(-3, gu + gw + 2):
+                        lhs = mode_action(du, n, w)
+                        rhs = mode_action(u, n - 1, w).scale(-n)
+                        assert lhs == rhs, (um, n, wm)
+                        checked += not lhs.is_zero()
+    assert checked > 100
+
+
+@pytest.mark.parametrize("name", ["heisenberg", *_CENTRAL_CHARGES])
+def test_creation_property(name):
+    # Y(u)_{-1}|0> = u and Y(u)_n|0> = 0 for n >= 0, for every basis u of grade <= 5
+    alg, _ = _mode_space(name)
+    vacuum = vac(alg)
+    for gu in range(6):
+        for um in alg.basis(gu):
+            u = st(alg, um)
+            assert mode_action(u, -1, vacuum) == u, um
+            for n in range(0, gu + 1):
+                assert mode_action(u, n, vacuum).is_zero(), (um, n)
+
+
+def test_propagation_never_recurses_to_the_vacuum(monkeypatch):
+    # the iterate recursion stops at generator descendants, so a 4-point
+    # propagation asks for no mode of |0>
+    H16 = heis(16)
+    W = fock(H16, 0)
+    a = st(H16, (1,))
+    original = H16.mode_mono
+    seen = collections.Counter()
+
+    def counted(u_mono, n, w_mono, module):
+        seen[u_mono == ()] += 1
+        return original(u_mono, n, w_mono, module)
+
+    monkeypatch.setattr(H16, "mode_mono", counted)
+    zs = [rat(1), rat(2), rat(4), rat(8)]
+    res = propagate_eval([a] * 4, zs, vac(W), vac(dual_of(W)), 16)
+    assert not res.value.is_zero()
+    assert seen[False] > 0 and seen[True] == 0
+
+
+# ---------------------------------------------------------------------------
+# the mode cache is transparent: warm results equal cold ones
+
+
+_CACHE_U = tuple(m for g in range(4) for m in heis(1).basis(g))
+_CACHE_W = tuple(m for g in range(3) for m in heis(1).basis(g))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    hst.lists(
+        hst.tuples(hst.sampled_from(_CACHE_U), hst.integers(-4, 3), hst.sampled_from(_CACHE_W)),
+        min_size=1,
+        max_size=6,
+    ),
+    hst.randoms(use_true_random=False),
+)
+def test_mode_cache_is_transparent(triples, rng):
+    # one algebra fills its cache in a shuffled order over the adjoint module
+    # and Fock momenta 0 and 2/3 (a key without the module mixes them up);
+    # each result must equal that of a fresh algebra
+    momenta = tuple(_MOMENTA.values())
+    warm = heis(12)
+    modules = [warm if p is None else fock(warm, p) for p in momenta]
+    queries = [(u, n, w, i) for u, n, w in triples for i in range(3)]
+    rng.shuffle(queries)
+    for u, n, w, i in queries:
+        warm.mode_mono(u, n, w, modules[i])
+    for u, n, w, i in queries:
+        cold = heis(12)
+        cold_module = cold if momenta[i] is None else fock(cold, momenta[i])
+        got = warm.mode_mono(u, n, w, modules[i])
+        assert got == cold.mode_mono(u, n, w, cold_module), (u, n, w, i)
+        for m in got:
+            modules[i].check_mono(m)
+
+
+# ---------------------------------------------------------------------------
+# basis monomials are checked where states are made
+
+
+def test_state_rejects_non_basis_monomials():
+    W = fock(H, 0)
+    V = VirasoroAlgebra(rat(1, 2), cutoff=10)
+    T = TensorPowerAlgebra(H, 2)
+    bad = [
+        (H, (1, 2)), (W, (1, 2)), (dual_of(W), (1, 2)), (W, (0,)), (H, (-1,)), (H, (1.0,)), (H, (True,)),
+        (V, (2, 3)), (V, (1,)), (T, ((1,),)), (T, ((1,), (1, 2))), (T, ([1], ())),
+    ]
+    for space, mono in bad:
+        with pytest.raises(ValueError, match="not a basis monomial"):
+            st(space, mono)
+    for space, mono in ((H, ()), (W, (2, 1, 1)), (dual_of(W), [2, 1]), (V, (3, 2)), (T, ((1,), ()))):
+        assert st(space, mono).terms == {tuple(mono): Scalar.integer(1)}
