@@ -294,7 +294,8 @@ def heisenberg_correlator(vs, w: GradedVector, wp: GradedVector) -> RationalExpr
 
 
 def _wick_sum(sites, w_mono, wp_mono, lam, nsites) -> RationalExpr:
-    # objects: ("site", i, p, norm) / ("out", nu) / ("in", mu)
+    # objects: ("site", i, p, norm), then ("out", nu), then ("in", mu); rec
+    # pairs each object only with a later one
     objs = []
     for i in range(nsites):
         for p, norm in _site_factors(sites.get(i, ())):
@@ -315,30 +316,24 @@ def _wick_sum(sites, w_mono, wp_mono, lam, nsites) -> RationalExpr:
                 i, p, j, q = j, q, i, p
             coef = Fraction((-1) ** (p % 2) * math.factorial(p + q + 1)) * np_ * nq
             return RationalExpr.term(Scalar.from_fraction(coef), dpows={(i, j): -(p + q + 2)})
-        if ka == "out" and kb == "site":
-            _, nu = a
-            _, i, p, norm = b
+        if ka == "site" and kb == "out":
+            _, i, p, norm = a
+            _, nu = b
             coef = Fraction(_falling(nu, p + 1)) * norm
             if coef == 0:
                 return RationalExpr()
             return RationalExpr.term(Scalar.from_fraction(coef), zpows={i: nu - 1 - p})
-        if ka == "site" and kb == "out":
-            return contract(b, a)
         if ka == "site" and kb == "in":
             _, i, p, norm = a
             _, mu = b
             coef = Fraction((-1) ** (p % 2) * _rising(mu, p + 1)) * norm
             return RationalExpr.term(Scalar.from_fraction(coef), zpows={i: -mu - 1 - p})
-        if ka == "in" and kb == "site":
-            return contract(b, a)
         if ka == "out" and kb == "in":
             _, nu = a
             _, mu = b
             if nu != mu:
                 return RationalExpr()
             return RationalExpr.constant(nu)
-        if ka == "in" and kb == "out":
-            return contract(b, a)
         return RationalExpr()  # out-out and in-in never contract
 
     def lone(a) -> RationalExpr:
@@ -687,7 +682,8 @@ def section_atom_basis(points, pole_bound: int):
 
 def reconstruct_global(points, series_data, pole_bound: int):
     """The unique global rational section matching all the expansions, or
-    None when no such section exists (the residue criterion then fails)."""
+    None when no such section exists (the residue criterion then fails).
+    ValueError when the expansions fit more than one section."""
     _check_marked_points(points)
     atoms = section_atom_basis(points, pole_bound)
     ncomp = len(series_data[0])
@@ -708,5 +704,7 @@ def reconstruct_global(points, series_data, pole_bound: int):
         sol = linalg.solve(rows, rhs)
         if sol is None:
             return None
+        if not sol[1]:
+            raise ValueError("the expansions fit more than one global section; give more terms")
         all_coeffs.append(sol[0])
     return GlobalSection(points, pole_bound, atoms, all_coeffs)

@@ -84,7 +84,6 @@ class RunConfig:
     algebra: dict = field(default_factory=lambda: {"kind": "heisenberg"})
     cutoffs: dict = field(default_factory=lambda: {"L": 24, "N": 8})
     points: list = field(default_factory=list)
-    seed: int = 0
     mode: str = "exact"
     threads: int = 1
     out: str = None
@@ -96,7 +95,6 @@ class RunConfig:
             "algebra": self.algebra,
             "cutoffs": self.cutoffs,
             "points": self.points,
-            "seed": self.seed,
             "mode": self.mode,
             "threads": self.threads,
             "out": self.out,
@@ -109,7 +107,7 @@ class RunConfig:
             raise ConfigError("config", "must be a JSON object")
         if "subcommand" not in obj:
             raise ConfigError("subcommand", "missing")
-        known = {"subcommand", "algebra", "cutoffs", "points", "seed", "mode", "threads", "out", "params"}
+        known = {"subcommand", "algebra", "cutoffs", "points", "mode", "threads", "out", "params"}
         for key in obj:
             if key not in known:
                 raise ConfigError(key, "unknown field")
@@ -120,7 +118,6 @@ class RunConfig:
         cfg.algebra = obj.get("algebra", cfg.algebra)
         cfg.cutoffs = {**cfg.cutoffs, **obj.get("cutoffs", {})}
         cfg.points = obj.get("points", [])
-        cfg.seed = obj.get("seed", 0)
         cfg.mode = obj.get("mode", "exact")
         cfg.threads = obj.get("threads", 1)
         cfg.out = obj.get("out")
@@ -497,7 +494,6 @@ def build_parser():
     parser.add_argument("--mode", choices=["exact", "float"])
     parser.add_argument("--threads", type=int)
     parser.add_argument("--out", help="output path (defaults to stdout)")
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--taylor", help="comma-separated Taylor data for uc-solve")
     parser.add_argument("--k", type=int, help="twist order for twist subcommands")
     parser.add_argument("--grade", type=int, help="grade bound for twist/jacobi checks")
@@ -524,8 +520,6 @@ def main(argv=None) -> int:
             cfg.threads = args.threads
         if args.out:
             cfg.out = args.out
-        if args.seed is not None:
-            cfg.seed = args.seed
         if args.taylor:
             cfg.params["taylor"] = args.taylor.split(",")
         if args.k is not None:

@@ -115,42 +115,27 @@ def solve_coefficients(taylor) -> CoordChange:
     return CoordChange(c0, cs)
 
 
+def _taylor_series(rho: CoordChange, order: int) -> FracLaurent:
+    """rho(z) as a power series in z, truncated above z^order."""
+    t = taylor_coefficients(rho, order)
+    if any(isinstance(a, FracLaurent) for a in t):
+        raise ValueError("composition and inversion are implemented for scalar coefficients")
+    return FracLaurent("z", 1, {Fraction(m): a for m, a in enumerate(t, start=1)}, trunc=order + 1)
+
+
+def _from_series(f: FracLaurent, order: int) -> CoordChange:
+    return solve_coefficients([f.coeff(m) for m in range(1, order + 1)])
+
+
 def compose(rho1: CoordChange, rho2: CoordChange, order: int) -> CoordChange:
-    """Coefficients of z -> rho1(rho2(z)) to the given order."""
-    t1 = taylor_coefficients(rho1, order)
-    t2 = taylor_coefficients(rho2, order)
-    # polynomial composition with generic ring coefficients
-    out = [S0] * order  # a_1 .. a_order
-    # build t2^e iteratively; t2 has no constant term so t2^e starts at z^e
-    cur = None
-    for e, a in enumerate(t1, start=1):
-        if cur is None:
-            cur = list(t2)
-        else:
-            nxt = [S0] * order
-            for i, x in enumerate(cur, start=1):
-                if x.is_zero():
-                    continue
-                for j, y in enumerate(t2, start=1):
-                    if i + j <= order and not y.is_zero():
-                        nxt[i + j - 1] = nxt[i + j - 1] + x * y
-            cur = nxt
-        if a.is_zero():
-            continue
-        for i in range(order):
-            if not cur[i].is_zero():
-                out[i] = out[i] + a * cur[i]
-    return solve_coefficients(out)
+    """Coefficients of z -> rho1(rho2(z)) to the given order; scalar
+    coefficients only."""
+    return _from_series(_taylor_series(rho1, order).compose(_taylor_series(rho2, order), order + 1), order)
 
 
 def invert(rho: CoordChange, order: int) -> CoordChange:
-    """The compositional inverse to the given order."""
-    t = taylor_coefficients(rho, order)
-    if any(isinstance(a, FracLaurent) for a in t):
-        raise ValueError("inversion is implemented for scalar coefficients")
-    f = FracLaurent("z", 1, {Fraction(m): a for m, a in enumerate(t, start=1)})
-    g = f.truncate(order + 1).reverse(order)
-    return solve_coefficients([g.coeff(m) for m in range(1, order + 1)])
+    """The compositional inverse to the given order; scalar coefficients only."""
+    return _from_series(_taylor_series(rho, order).reverse(order), order)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +163,7 @@ def chart_transition(eta: FracLaurent, mu: FracLaurent, p, order: int) -> CoordC
     te = local(eta).truncate(order + 1)
     tm = local(mu).truncate(order + 1)
     inv = tm.drop_truncation().reverse(order)
-    comp = te.compose(inv, order + 1)
-    return solve_coefficients([comp.coeff(m) for m in range(1, order + 1)])
+    return _from_series(te.compose(inv, order + 1), order)
 
 
 def kth_root_shift(k: int, order: int, s="s") -> CoordChange:

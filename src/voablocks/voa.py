@@ -23,8 +23,11 @@ of the creation and translation properties,
 
     Y(Y(g)_{-j-1}|0>)_n = (-1)^j C(n, j) Y(g)_{n-j},
 
-and at the vacuum, Y(|0>)_n = delta_{n,-1}.  All values are immutable and the
-mode cache is only ever filled with deterministic pure results.
+and at the vacuum, Y(|0>)_n = delta_{n,-1}.  The Virasoro generator is the
+conformal vector, so there L_n = Y(L_{-2}|0>)_{n+1} is the generator's mode:
+it is computed by PBW straightening and cached only under that mode_mono key.
+All values are immutable and the mode cache is only ever filled with
+deterministic pure results.
 """
 
 from __future__ import annotations
@@ -165,8 +168,11 @@ class _GeneratorAlgebra(Algebra):
         if v_mono == ():
             # u = Y(gen)_{-j-1}|0> with j = -p-1: Y(u)_n = (-1)^j C(n, j) Y(gen)_{n-j}
             j = -p - 1
-            c = Scalar.integer((-1) ** j * binomial(n, j))
-            out = {} if c.is_zero() else {m: x * c for m, x in self.gen_mode(n - j, w_mono, module).items()}
+            if j == 0:
+                out = self.gen_mode(n, w_mono, module)  # the generator itself: coefficient 1
+            else:
+                c = Scalar.integer((-1) ** j * binomial(n, j))
+                out = {} if c.is_zero() else {m: x * c for m, x in self.gen_mode(n - j, w_mono, module).items()}
             self._mode_cache[key] = out
             return out
         wt_vw = self.weight(v_mono) + module.weight(w_mono)
@@ -233,7 +239,8 @@ class HeisenbergAlgebra(_GeneratorAlgebra):
 
 
 class VirasoroAlgebra(_GeneratorAlgebra):
-    """Universal Virasoro vacuum module at an exact central charge."""
+    """Universal Virasoro vacuum module at an exact central charge.  Its
+    generator is the conformal vector L_{-2}|0>, whose modes are the L_n."""
 
     kind = "virasoro"
     min_part = 2
@@ -250,51 +257,39 @@ class VirasoroAlgebra(_GeneratorAlgebra):
         return -u_mono[0] + 1, u_mono[1:]
 
     def gen_mode(self, j, w_mono, module):
-        return self.vir_L(j - 1, w_mono)
-
-    def gen_mode_support(self, w_mono, module):
-        return range(0, sum(w_mono) + 2)
-
-    def vir_L(self, n: int, mono) -> dict:
-        """L_n on a basis monomial, by PBW straightening."""
-        key = ("L", n, mono)
+        """L_{j-1} on a basis monomial, by PBW straightening.  L_{j-1} is the
+        generator's mode Y(L_{-2}|0>)_j, so its table is cached under that
+        mode_mono key and nowhere else; the smaller L-actions of the
+        straightening, the iterate recursion and the closed form all read it."""
+        key = ((2,), j, w_mono, self.module_key)
         hit = self._mode_cache.get(key)
         if hit is not None:
             return hit
-        if mono == ():
-            out = {(-n,): S1} if n <= -2 else {}
-            self._mode_cache[key] = out
-            return out
-        m1, rest = mono[0], mono[1:]
-        out = {}
-        # [L_n, L_{-m1}] = (n + m1) L_{n-m1} + delta_{n,m1} (n^3 - n)/12 c
-        if n + m1 != 0:
-            for m2, c2 in self.vir_L(n - m1, rest).items():
-                _acc(out, m2, c2 * Scalar.integer(n + m1))
-        if n == m1:
-            central = self.central_charge * Scalar.from_fraction(Fraction(n**3 - n, 12))
-            if not central.is_zero():
-                _acc(out, rest, central)
-        for m2, c2 in self.vir_L(n, rest).items():
-            for m3, c3 in self._prepend(m1, m2).items():
-                _acc(out, m3, c3 * c2)
-        out = {m: c for m, c in out.items() if not c.is_zero()}
+        n = j - 1
+        if n <= -2 and (w_mono == () or -n >= w_mono[0]):
+            out = {(-n,) + w_mono: S1}  # L_n w is already in PBW order
+        elif w_mono == ():
+            out = {}
+        else:
+            m1, rest = w_mono[0], w_mono[1:]
+            out = {}
+            # L_n L_{-m1} = (n + m1) L_{n-m1} + delta_{n,m1} (n^3 - n)/12 c + L_{-m1} L_n
+            if n + m1 != 0:
+                for m2, c2 in self.gen_mode(n - m1 + 1, rest, self).items():
+                    _acc(out, m2, c2 * Scalar.integer(n + m1))
+            if n == m1:
+                central = self.central_charge * Scalar.from_fraction(Fraction(n**3 - n, 12))
+                if not central.is_zero():
+                    _acc(out, rest, central)
+            for m2, c2 in self.gen_mode(j, rest, self).items():
+                for m3, c3 in self.gen_mode(1 - m1, m2, self).items():
+                    _acc(out, m3, c3 * c2)
+            out = {m: c for m, c in out.items() if not c.is_zero()}
         self._mode_cache[key] = out
         return out
 
-    def _prepend(self, m: int, mono) -> dict:
-        # L_{-m} applied to a basis monomial (m >= 2), keeping PBW order.
-        if mono == () or m >= mono[0]:
-            return {(m,) + mono: S1}
-        p, rest = mono[0], mono[1:]
-        out = {}
-        # L_{-m} L_{-p} = L_{-p} L_{-m} + (p - m) L_{-m-p}
-        for m2, c2 in self._prepend(m, rest).items():
-            for m3, c3 in self._prepend(p, m2).items():
-                _acc(out, m3, c3 * c2)
-        for m3, c3 in self._prepend(m + p, rest).items():
-            _acc(out, m3, c3 * Scalar.integer(p - m))
-        return out
+    def gen_mode_support(self, w_mono, module):
+        return range(0, sum(w_mono) + 2)
 
 
 class TensorPowerAlgebra(Algebra):
@@ -407,7 +402,8 @@ class FockModule:
         self.algebra = algebra
         m = momentum
         self.momentum = m if isinstance(m, Scalar) else Scalar._coerce(m)
-        self.module_key = ("fock", self.momentum)
+        # exact and hashed cheaply: str is canonical for a Scalar and caches its hash
+        self.module_key = ("fock", str(self.momentum))
 
     @property
     def cutoff(self):
@@ -514,10 +510,7 @@ class GradedVector:
             raise ValueError("vectors live in different spaces")
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            if m in terms:
-                terms[m] = terms[m] + c
-            else:
-                terms[m] = c
+            _acc(terms, m, c)
         return GradedVector(self.space, terms)
 
     __radd__ = __add__
@@ -686,17 +679,7 @@ def conformal_vector(alg: Algebra) -> GradedVector:
 
 def virasoro_mode(n: int, w: GradedVector) -> GradedVector:
     """L_n w = Y(c)_{n+1} w for the conformal vector c of the algebra."""
-    alg = w.space.algebra
-    if isinstance(alg, VirasoroAlgebra) and w.space is alg:
-        out = {}
-        for wm, wc in w.terms.items():
-            wt_out = sum(wm) - n
-            if wt_out > alg.cutoff:
-                raise CutoffOverflow(wt_out, alg.cutoff)
-            for m, c in alg.vir_L(n, wm).items():
-                _acc(out, m, c * wc)
-        return GradedVector(alg, {m: c for m, c in out.items() if not c.is_zero()})
-    return mode_action(conformal_vector(alg), n + 1, w)
+    return mode_action(conformal_vector(w.space.algebra), n + 1, w)
 
 
 def dual_pairing(w: GradedVector, wp: GradedVector):

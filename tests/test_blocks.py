@@ -216,6 +216,14 @@ def test_reconstruction_failure_case():
     assert reconstruct_global([0, INF], [[one], [onez]], 2) is None
 
 
+def test_reconstruction_refuses_underdetermined_data():
+    # no coefficient is known, so a1/zeta + b0 + b1 zeta all fit: there is
+    # no unique section to return
+    blank = FracLaurent("z", 1, {}, trunc=-1)
+    with pytest.raises(ValueError, match="more than one global section"):
+        reconstruct_global([0, INF], [[blank], [blank]], 2)
+
+
 def test_insufficient_order_rejected():
     short = FracLaurent("z", 1, {0: 1}, trunc=2)
     with pytest.raises(ValueError):

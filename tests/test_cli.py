@@ -31,7 +31,6 @@ def test_config_round_trip():
         subcommand="sew",
         cutoffs={"L": 20, "N": 6, "M": 10},
         points=["1/2", "3/4"],
-        seed=7,
         mode="float",
         threads=4,
         params={"u": [{"monomial": [2]}]},

@@ -74,6 +74,13 @@ def test_invert_round_trip():
         assert compose(rho, inv, 8) == CoordChange.identity()
 
 
+def test_series_valued_coefficients_are_refused():
+    rho = kth_root_shift(2, 4)  # coefficients are Laurent monomials in s
+    for f, args in ((compose, (rho, rho)), (compose, (CoordChange.identity(), rho)), (invert, (rho,))):
+        with pytest.raises(ValueError, match="scalar coefficients"):
+            f(*args, 4)
+
+
 _small_rational = hst.builds(Scalar.rational, hst.integers(-3, 3), hst.integers(1, 3))
 _coordchange = hst.builds(
     CoordChange,

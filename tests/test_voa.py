@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -406,37 +407,52 @@ def test_propagation_never_recurses_to_the_vacuum(monkeypatch):
 # the mode cache is transparent: warm results equal cold ones
 
 
-_CACHE_U = tuple(m for g in range(4) for m in heis(1).basis(g))
-_CACHE_W = tuple(m for g in range(3) for m in heis(1).basis(g))
+def _cache_spaces():
+    """(algebra, module) per space of the cache test; the Heisenberg spaces
+    share one algebra, so they share one mode cache."""
+    H12 = heis(12)
+    spaces = {name: (H12, H12 if p is None else fock(H12, p)) for name, p in _MOMENTA.items()}
+    for name, c in _CENTRAL_CHARGES.items():
+        V = VirasoroAlgebra(c, cutoff=12)
+        spaces[name] = (V, V)
+    return spaces
+
+
+def _cache_query(alg, i, n, j):
+    # the i-th u of grade <= 4 and the j-th w of grade <= 3 of the algebra
+    us = [m for g in range(5) for m in alg.basis(g)]
+    ws = [m for g in range(4) for m in alg.basis(g)]
+    return us[i % len(us)], n, ws[j % len(ws)]
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(
     hst.lists(
-        hst.tuples(hst.sampled_from(_CACHE_U), hst.integers(-4, 3), hst.sampled_from(_CACHE_W)),
+        hst.tuples(hst.integers(0, 99), hst.integers(-4, 3), hst.integers(0, 99)),
         min_size=1,
         max_size=6,
     ),
     hst.randoms(use_true_random=False),
 )
 def test_mode_cache_is_transparent(triples, rng):
-    # one algebra fills its cache in a shuffled order over the adjoint module
-    # and Fock momenta 0 and 2/3 (a key without the module mixes them up);
-    # each result must equal that of a fresh algebra
-    momenta = tuple(_MOMENTA.values())
-    warm = heis(12)
-    modules = [warm if p is None else fock(warm, p) for p in momenta]
-    queries = [(u, n, w, i) for u, n, w in triples for i in range(3)]
+    # each algebra fills its cache in a shuffled order: Heisenberg over the
+    # adjoint module and Fock momenta 0 and 2/3 (a key without the module
+    # mixes them up), Virasoro at c = 1/2 and c = -22/5 (L_n straightening
+    # reads the cache it fills); each result must equal that of a fresh algebra
+    warm = _cache_spaces()
+    queries = [(triple, name) for triple in triples for name in warm]
     rng.shuffle(queries)
-    for u, n, w, i in queries:
-        warm.mode_mono(u, n, w, modules[i])
-    for u, n, w, i in queries:
-        cold = heis(12)
-        cold_module = cold if momenta[i] is None else fock(cold, momenta[i])
-        got = warm.mode_mono(u, n, w, modules[i])
-        assert got == cold.mode_mono(u, n, w, cold_module), (u, n, w, i)
+    for triple, name in queries:
+        alg, module = warm[name]
+        alg.mode_mono(*_cache_query(alg, *triple), module)
+    for triple, name in queries:
+        alg, module = warm[name]
+        cold_alg, cold_module = _cache_spaces()[name]
+        u, n, w = _cache_query(alg, *triple)
+        got = alg.mode_mono(u, n, w, module)
+        assert got == cold_alg.mode_mono(u, n, w, cold_module), (u, n, w, name)
         for m in got:
-            modules[i].check_mono(m)
+            module.check_mono(m)
 
 
 # ---------------------------------------------------------------------------
@@ -456,3 +472,39 @@ def test_state_rejects_non_basis_monomials():
             st(space, mono)
     for space, mono in ((H, ()), (W, (2, 1, 1)), (dual_of(W), [2, 1]), (V, (3, 2)), (T, ((1,), ()))):
         assert st(space, mono).terms == {tuple(mono): Scalar.integer(1)}
+
+
+# ---------------------------------------------------------------------------
+# Virasoro mode tables, recorded as exact text
+
+
+_VIRASORO_GOLDEN = Path(__file__).parent / "golden" / "virasoro_modes.txt"
+
+
+def _terms_text(terms):
+    return "; ".join(f"{list(m)}:{c}" for m, c in sorted(terms.items()))
+
+
+def virasoro_mode_table() -> str:
+    """Y(u)_n w for u of grade <= 6, w of grade <= 5 and n from 12 below the
+    top index wt(u) + wt(w) - 1 to one above it, then L_n w for |n| <= 4, at
+    c = 1/2, -22/5 and 1; one line per result.  The golden file was recorded
+    with an independent L_n straightening that kept its own cache."""
+    lines = []
+    for c in (rat(1, 2), rat(-22, 5), rat(1)):
+        V = VirasoroAlgebra(c, cutoff=20)
+        ws = [m for g in range(6) for m in V.basis(g)]
+        for um in (m for g in range(7) for m in V.basis(g)):
+            for wm in ws:
+                top = sum(um) + sum(wm) - 1
+                for n in range(top - 12, top + 2):
+                    lines.append(f"{c}\tY{list(um)}_{n}\t{list(wm)}\t{_terms_text(V.mode_mono(um, n, wm, V))}")
+        for wm in ws:
+            for n in range(-4, 5):
+                lines.append(f"{c}\tL_{n}\t{list(wm)}\t{_terms_text(virasoro_mode(n, st(V, wm)).terms)}")
+    return "\n".join(lines) + "\n"
+
+
+def test_virasoro_modes_match_golden():
+    # exact Virasoro mode tables stay byte-identical to the recorded ones
+    assert virasoro_mode_table().encode() == _VIRASORO_GOLDEN.read_bytes()
