@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .scalars import Scalar, binomial
+from .scalars import Scalar, binomial, plain
 from .series import FracLaurent
 from .voa import CutoffOverflow, DualModule, GradedVector, HeisenbergAlgebra, dual_pairing
 
@@ -376,32 +376,33 @@ class PropagationResult:
 def _apply_field(v: GradedVector, z: Scalar, state: GradedVector, cutoff: int, zpows=None) -> GradedVector:
     """sum_n z^{-n-1} Y(v)_n state, keeping output grades <= cutoff.
 
-    ``zpows`` maps an exponent e to z^e; calls with the same z may share it."""
+    ``zpows`` maps an exponent e to z^e, as a plain value where z is
+    rational; calls with the same z may share it."""
     module = state.space
     alg = module.algebra
     if zpows is None:
         zpows = {}
-    out = GradedVector(module)
     acc = {}
     for vm, vc in v.terms.items():
         wtv = alg.weight(vm)
+        vc = plain(vc)
         for sm, sc in state.terms.items():
             top = wtv + module.weight(sm) - 1
+            vs = vc * plain(sc)
             for n in range(top - cutoff, top + 1):
                 res = alg.mode_mono(vm, n, sm, module)
                 if not res:
                     continue
                 zn = zpows.get(-n - 1)
                 if zn is None:
-                    zn = zpows[-n - 1] = z ** (-n - 1)
-                zf = zn * vc * sc
+                    zn = zpows[-n - 1] = plain(z ** (-n - 1))
+                zf = zn * vs
                 for m, c in res.items():
                     if m in acc:
                         acc[m] = acc[m] + c * zf
                     else:
                         acc[m] = c * zf
-    out.terms.update({m: c for m, c in acc.items() if not c.is_zero()})
-    return out
+    return GradedVector(module, acc)
 
 
 def radially_ordered(zs) -> bool:
@@ -468,11 +469,12 @@ def propagate_expand(vs, w: GradedVector, wp: GradedVector, shell_cap: int) -> d
     module = w.space
     alg = module.algebra
     nvars = len(vs)
-    states = {m: {(0,) * nvars: c} for m, c in w.terms.items()}
+    states = {m: {(0,) * nvars: plain(c)} for m, c in w.terms.items()}
     for i, v in enumerate(vs):
         nxt = {}
         for vm, vc in v.terms.items():
             wtv = alg.weight(vm)
+            vc = plain(vc)
             for sm, poly in states.items():
                 top = wtv + module.weight(sm) - 1
                 for n in range(top - shell_cap, top + 1):
@@ -481,9 +483,10 @@ def propagate_expand(vs, w: GradedVector, wp: GradedVector, shell_cap: int) -> d
                         continue
                     for m, c in res.items():
                         tgt = nxt.setdefault(m, {})
+                        cv = c * vc
                         for key, pc in poly.items():
                             k2 = _tadd(key, i, -n - 1)
-                            add = pc * c * vc
+                            add = pc * cv
                             tgt[k2] = tgt[k2] + add if k2 in tgt else add
         states = nxt
     out = {}
@@ -491,10 +494,11 @@ def propagate_expand(vs, w: GradedVector, wp: GradedVector, shell_cap: int) -> d
         cp = wp.terms.get(m)
         if cp is None:
             continue
+        cp = plain(cp)
         for key, c in poly.items():
             add = c * cp
             out[key] = out[key] + add if key in out else add
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    return {k: Scalar._coerce(v) for k, v in out.items() if v != 0}
 
 
 def permutation_check(vs, zs, w, wp, cutoff=None, tol=None) -> bool:

@@ -57,11 +57,17 @@ def _parse_rational(value, path):
             return Fraction(value)
         if isinstance(value, int):
             return Fraction(value)
-        if isinstance(value, list) and len(value) == 2:
+        if isinstance(value, list) and len(value) == 2 and all(isinstance(x, int) for x in value):
             return Fraction(value[0], value[1])
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(path, str(exc))
     raise ConfigError(path, f"expected a rational, got {value!r}")
+
+
+def _json_list(value, path):
+    if not isinstance(value, list):
+        raise ConfigError(path, "must be a list")
+    return value
 
 
 def _scalar_json(scalar: Scalar, mode: str):
@@ -130,7 +136,8 @@ class RunConfig:
             raise ConfigError("mode", "must be 'exact' or 'float'")
         if not isinstance(cfg.threads, int) or cfg.threads < 1:
             raise ConfigError("threads", "must be a positive integer")
-        for name in ("grade", "index_bound"):
+        _json_list(cfg.points, "points")
+        for name in ("grade", "index_bound", "pole_bound", "dual_pole_bound"):
             value = cfg.params.get(name, 0)
             if not isinstance(value, int) or value < 0:
                 raise ConfigError(f"params.{name}", "must be a non-negative integer")
@@ -141,10 +148,8 @@ class RunConfig:
 
 
 def _vector_from_json(space, data, path):
-    if not isinstance(data, list):
-        raise ConfigError(path, "must be a list of terms")
     total = GradedVector(space)
-    for i, entry in enumerate(data):
+    for i, entry in enumerate(_json_list(data, path)):
         if not isinstance(entry, dict):
             raise ConfigError(f"{path}[{i}]", "must be a JSON object")
         if "monomial" not in entry:
@@ -200,7 +205,7 @@ def _run_propagate(cfg: RunConfig):
     Wd = dual_of(W)
     vs = [
         _vector_from_json(alg, vj, f"params.insertions[{i}]")
-        for i, vj in enumerate(cfg.params.get("insertions", []))
+        for i, vj in enumerate(_json_list(cfg.params.get("insertions", []), "params.insertions"))
     ]
     zs = [Scalar.from_fraction(_parse_rational(p, f"points[{i}]")) for i, p in enumerate(cfg.points)]
     if len(vs) != len(zs):
@@ -225,12 +230,19 @@ def _run_propagate(cfg: RunConfig):
 
 
 def _series_from_json(obj, path):
+    if not isinstance(obj, dict):
+        raise ConfigError(path, "must be a JSON object")
+    k = obj.get("k", 1)
+    if not isinstance(k, int) or k < 1:
+        raise ConfigError(f"{path}.k", "must be a positive integer")
     terms = {}
-    for i, item in enumerate(obj.get("terms", [])):
-        num, den, coef = item
-        terms[Fraction(num, den)] = Scalar.from_fraction(_parse_rational(coef, f"{path}.terms[{i}]"))
+    for i, item in enumerate(_json_list(obj.get("terms", []), f"{path}.terms")):
+        if not isinstance(item, list) or len(item) != 3:
+            raise ConfigError(f"{path}.terms[{i}]", "must be [num, den, coeff]")
+        e = _parse_rational(item[:2], f"{path}.terms[{i}]")
+        terms[e] = Scalar.from_fraction(_parse_rational(item[2], f"{path}.terms[{i}]"))
     trunc = obj.get("trunc")
-    return FracLaurent("z", obj.get("k", 1), terms, None if trunc is None else Fraction(trunc))
+    return FracLaurent("z", k, terms, None if trunc is None else _parse_rational(trunc, f"{path}.trunc"))
 
 
 def _residue_fixtures():
@@ -249,10 +261,16 @@ def _run_residue_check(cfg: RunConfig):
     p = cfg.params.get("pole_bound", 2)
     K = cfg.params.get("dual_pole_bound", 4)
     if "marked" in cfg.params:
-        marked = [INF if x == "inf" else _parse_rational(x, "params.marked") for x in cfg.params["marked"]]
+        marked = [
+            INF if x == "inf" else _parse_rational(x, "params.marked")
+            for x in _json_list(cfg.params["marked"], "params.marked")
+        ]
+        series = _json_list(cfg.params.get("series"), "params.series")
+        if len(series) != len(marked):
+            raise ConfigError("params.series", "needs one list of components per marked point")
         data = [
-            [_series_from_json(comp, f"params.series[{j}]") for comp in comps]
-            for j, comps in enumerate(cfg.params["series"])
+            [_series_from_json(comp, f"params.series[{j}]") for comp in _json_list(comps, f"params.series[{j}]")]
+            for j, comps in enumerate(series)
         ]
         cases = [("input", marked, data, cfg.params.get("expect", True))]
     else:
@@ -296,13 +314,16 @@ def _run_sew(cfg: RunConfig):
         wp = _vector_from_json(Wd, cfg.params["wp"], "params.wp")
     else:
         wp = GradedVector(Wd, {m: Scalar.integer(1) for g in range(N + 1) for m in Wd.basis(g)})
-    field_at_1 = _apply_field(u, Scalar.integer(1), w, cfg.cutoffs["L"])
+    L = cfg.cutoffs["L"]
+    field_at_1 = _apply_field(u, Scalar.integer(1), w, L)
 
     def block(m, md):
         # pairing block times the one-point sphere block at 1 (Example-lb9 shape)
         total = dual_pairing(m, wp)
         if total.is_zero():
             return S0
+        if md.max_weight() > L:  # the field was kept only up to grade L
+            raise CutoffOverflow(md.max_weight(), L)
         return total * dual_pairing(field_at_1, md)
 
     series = sew(block, W, N)
@@ -316,10 +337,14 @@ def _run_commute_check(cfg: RunConfig):
     alg, W = _algebra_and_module(cfg)
     Wd = dual_of(W)
     p = cfg.params
-    vs_a = [_vector_from_json(alg, v, "params.insertions_a") for v in p.get("insertions_a", [])]
-    vs_b = [_vector_from_json(alg, v, "params.insertions_b") for v in p.get("insertions_b", [])]
-    za = [Scalar.from_fraction(_parse_rational(x, "params.points_a")) for x in p.get("points_a", [])]
-    zb = [Scalar.from_fraction(_parse_rational(x, "params.points_b")) for x in p.get("points_b", [])]
+
+    def listed(name):
+        return _json_list(p.get(name, []), f"params.{name}")
+
+    vs_a = [_vector_from_json(alg, v, "params.insertions_a") for v in listed("insertions_a")]
+    vs_b = [_vector_from_json(alg, v, "params.insertions_b") for v in listed("insertions_b")]
+    za = [Scalar.from_fraction(_parse_rational(x, "params.points_a")) for x in listed("points_a")]
+    zb = [Scalar.from_fraction(_parse_rational(x, "params.points_b")) for x in listed("points_b")]
     w = _vector_from_json(W, p.get("w", [{"monomial": []}]), "params.w")
     wp = _vector_from_json(Wd, p.get("wp", [{"monomial": []}]), "params.wp")
     ok, disc, lhs, rhs = sew_propagate_commute_check(
@@ -395,6 +420,8 @@ def _run_twist_check(cfg: RunConfig):
 def _run_twist_modes(cfg: RunConfig):
     alg, W = _algebra_and_module(cfg)
     k = cfg.params.get("k", 2)
+    if not isinstance(k, int):
+        raise ConfigError("params.k", "must be one positive integer")
     tw = TwistedModule(W, k)
     vac = GradedVector.vacuum(alg)
     u_json = cfg.params.get("u", [{"monomial": [1]}])

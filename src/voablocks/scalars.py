@@ -12,7 +12,9 @@ Arithmetic between a rational and a cyclotomic promotes to cyclotomic;
 between cyclotomics of different k it raises (use ``embed`` explicitly).
 A cyclotomic result whose vector is purely rational demotes back to the
 rational variant, so equality and hashing are canonical.  ``to_complex``
-gives the float value of either variant.
+gives the float value of either variant.  Inner loops over rational data
+compute in plain ``int``/``Fraction`` instead: ``plain`` unwraps a rational
+Scalar, and Python's mixed arithmetic carries a cyclotomic one along.
 """
 
 from __future__ import annotations
@@ -182,8 +184,10 @@ class Scalar:
     def _coerce(x) -> "Scalar":
         if isinstance(x, Scalar):
             return x
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, int):
             return Scalar(rat=Fraction(x))
+        if isinstance(x, Fraction):
+            return Scalar(rat=x)
         raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
 
     def _as_vec(self, k):
@@ -306,6 +310,8 @@ class Scalar:
             raise TypeError("scalar powers must be integers")
         if n < 0:
             return self.inverse() ** (-n)
+        if self._rat is not None:
+            return Scalar(rat=self._rat**n)
         result = Scalar.integer(1)
         base = self
         while n:
@@ -374,6 +380,16 @@ def _json_fraction(pair) -> Fraction:
     if not (isinstance(p, int) and isinstance(q, int)):
         raise TypeError("rational coordinates must be integer pairs")
     return Fraction(p, q)
+
+
+def plain(x):
+    """A rational Scalar as a plain Python rational: its int when integral,
+    else its Fraction.  Anything else (an int, a Fraction, a cyclotomic
+    Scalar, a series) is returned unchanged."""
+    if type(x) is Scalar and x._rat is not None:
+        r = x._rat
+        return r.numerator if r.denominator == 1 else r
+    return x
 
 
 def binomial(r, m: int):

@@ -28,6 +28,13 @@ conformal vector, so there L_n = Y(L_{-2}|0>)_{n+1} is the generator's mode:
 it is computed by PBW straightening and cached only under that mode_mono key.
 All values are immutable and the mode cache is only ever filled with
 deterministic pure results.
+
+Mode tables hold plain Python rationals: an ``int``, or a ``Fraction`` where
+a rational momentum or central charge makes a value non-integral.  Only a
+structure constant that is not rational (a cyclotomic Fock momentum) stays a
+``Scalar``, and mixed arithmetic carries it through the same code.  The
+mode-action loops compute in these plain values too; ``GradedVector`` turns
+each result coefficient into a ``Scalar`` once, at the API boundary.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import Scalar, binomial
+from .scalars import Scalar, binomial, plain
 
 S0 = Scalar.integer(0)
 S1 = Scalar.integer(1)
@@ -161,7 +168,7 @@ class _GeneratorAlgebra(Algebra):
         if hit is not None:
             return hit
         if u_mono == ():
-            out = {w_mono: S1} if n == -1 else {}
+            out = {w_mono: 1} if n == -1 else {}
             self._mode_cache[key] = out
             return out
         p, v_mono = self.peel(u_mono)
@@ -171,8 +178,8 @@ class _GeneratorAlgebra(Algebra):
             if j == 0:
                 out = self.gen_mode(n, w_mono, module)  # the generator itself: coefficient 1
             else:
-                c = Scalar.integer((-1) ** j * binomial(n, j))
-                out = {} if c.is_zero() else {m: x * c for m, x in self.gen_mode(n - j, w_mono, module).items()}
+                c = (-1) ** j * binomial(n, j)
+                out = {m: x * c for m, x in self.gen_mode(n - j, w_mono, module).items()} if c else {}
             self._mode_cache[key] = out
             return out
         wt_vw = self.weight(v_mono) + module.weight(w_mono)
@@ -198,7 +205,7 @@ class _GeneratorAlgebra(Algebra):
                 inner = self.mode_mono(v_mono, p + n - l, m2, module)
                 for m3, c3 in inner.items():
                     _acc(out, m3, c3 * c2 * (-psign * sign * c))
-        out = {m: c for m, c in out.items() if not c.is_zero()}
+        out = {m: c for m, c in out.items() if c != 0}
         self._mode_cache[key] = out
         return out
 
@@ -219,14 +226,14 @@ class HeisenbergAlgebra(_GeneratorAlgebra):
     def osc(self, j: int, w_mono, momentum) -> dict:
         """a_j on a Fock basis monomial with the given zero-mode momentum."""
         if j < 0:
-            return {_insert_part(w_mono, -j): S1}
+            return {_insert_part(w_mono, -j): 1}
         if j == 0:
-            return {} if momentum.is_zero() else {w_mono: momentum}
+            return {} if momentum.is_zero() else {w_mono: plain(momentum)}
         mult = w_mono.count(j)
         if mult == 0:
             return {}
         i = w_mono.index(j)
-        return {w_mono[:i] + w_mono[i + 1 :]: Scalar.integer(j * mult)}
+        return {w_mono[:i] + w_mono[i + 1 :]: j * mult}
 
     def gen_mode(self, j, w_mono, module):
         return self.osc(j, w_mono, module.momentum)
@@ -249,6 +256,7 @@ class VirasoroAlgebra(_GeneratorAlgebra):
         super().__init__(cutoff)
         c = central_charge
         self.central_charge = c if isinstance(c, Scalar) else Scalar._coerce(c)
+        self._c = plain(self.central_charge)
 
     def conformal_monos(self):
         return {(2,): S1}
@@ -267,7 +275,7 @@ class VirasoroAlgebra(_GeneratorAlgebra):
             return hit
         n = j - 1
         if n <= -2 and (w_mono == () or -n >= w_mono[0]):
-            out = {(-n,) + w_mono: S1}  # L_n w is already in PBW order
+            out = {(-n,) + w_mono: 1}  # L_n w is already in PBW order
         elif w_mono == ():
             out = {}
         else:
@@ -276,15 +284,15 @@ class VirasoroAlgebra(_GeneratorAlgebra):
             # L_n L_{-m1} = (n + m1) L_{n-m1} + delta_{n,m1} (n^3 - n)/12 c + L_{-m1} L_n
             if n + m1 != 0:
                 for m2, c2 in self.gen_mode(n - m1 + 1, rest, self).items():
-                    _acc(out, m2, c2 * Scalar.integer(n + m1))
+                    _acc(out, m2, c2 * (n + m1))
             if n == m1:
-                central = self.central_charge * Scalar.from_fraction(Fraction(n**3 - n, 12))
-                if not central.is_zero():
+                central = self._c * Fraction(n**3 - n, 12)
+                if central != 0:
                     _acc(out, rest, central)
             for m2, c2 in self.gen_mode(j, rest, self).items():
                 for m3, c3 in self.gen_mode(1 - m1, m2, self).items():
                     _acc(out, m3, c3 * c2)
-            out = {m: c for m, c in out.items() if not c.is_zero()}
+            out = {m: c for m, c in out.items() if c != 0}
         self._mode_cache[key] = out
         return out
 
@@ -381,8 +389,8 @@ class TensorPowerAlgebra(Algebra):
                         _acc(nxt, pm + (m,), pc * c)
                 rec(slot + 1, n_rest - ni, nxt)
 
-        rec(0, n - k + 1, {(): S1})
-        out = {m: c for m, c in out.items() if not c.is_zero()}
+        rec(0, n - k + 1, {(): 1})
+        out = {m: c for m, c in out.items() if c != 0}
         self._mode_cache[key] = out
         return out
 
@@ -589,17 +597,22 @@ def mode_action(u: GradedVector, n, w: GradedVector) -> GradedVector:
     out = {}
     cutoff = alg.cutoff
     for um, uc in u.terms.items():
+        uc = plain(uc)
         for wm, wc in w.terms.items():
             wt_out = alg.weight(um) + module.weight(wm) - n - 1
             if wt_out < 0:
                 continue
             if wt_out > cutoff:
                 raise CutoffOverflow(wt_out, cutoff)
-            for m, c in alg.mode_mono(um, n, wm, module).items():
+            res = alg.mode_mono(um, n, wm, module)
+            if not res:
+                continue
+            x = uc * plain(wc)
+            for m, c in res.items():
                 if m in out:
-                    out[m] = out[m] + c * uc * wc
+                    out[m] = out[m] + c * x
                 else:
-                    out[m] = c * uc * wc
+                    out[m] = c * x
     return GradedVector(module, out)
 
 
@@ -636,7 +649,7 @@ def jacobi_sweep(act, u: GradedVector, v: GradedVector, w: GradedVector, instanc
 
     def add(total, vec, c):
         for mono, x in vec.terms.items():
-            _acc(total, mono, x * c)
+            _acc(total, mono, plain(x) * c)
 
     for m, n, h in instances:
         total = {}

@@ -210,6 +210,31 @@ def test_overflow_surfaced_with_cutoff(tmp_path, capsys):
     assert "cutoff 2" in err
 
 
+@pytest.mark.parametrize(
+    "argv_for",
+    [
+        lambda tmp_path: ["sew", "--cutoff-q", "27"],
+        lambda tmp_path: _config_file(tmp_path, {"subcommand": "sew", "cutoffs": {"N": 3, "L": 2}}, "sew"),
+    ],
+    ids=["q27-default-L", "N3-L2"],
+)
+def test_sew_beyond_the_grade_cutoff_overflows(argv_for, tmp_path, capsys):
+    # the field at 1 is kept only up to grade L, so q^n with n > L would be
+    # printed from a truncated field as if it were complete
+    assert main(argv_for(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert "raise --cutoff-grade" in line
+
+
+def test_sew_up_to_the_grade_cutoff_is_complete(capsys):
+    # closed form -2 + sum_{g=3..N} (g - 2) q^g, here at N = L = 24
+    assert main(["sew", "--cutoff-q", "24"]) == 0
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows == [["0", "-2"]] + [[str(g), str(g - 2)] for g in range(3, 25)]
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 GOLDEN_RUNS = {
@@ -253,10 +278,14 @@ def _missing_config(tmp_path):
     return ["sew", "--config", str(tmp_path / "missing.json")]
 
 
-def _config_file(tmp_path, cfg):
+def _config_file(tmp_path, cfg, subcommand="jacobi-check"):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    return ["jacobi-check", "--config", str(path)]
+    return [subcommand, "--config", str(path)]
+
+
+def _params_config(subcommand, **fields):
+    return lambda tmp_path: _config_file(tmp_path, {"subcommand": subcommand, **fields}, subcommand)
 
 
 def _list_params(tmp_path):
@@ -315,13 +344,24 @@ def _negative_index_bound(tmp_path):
         lambda tmp_path: _config_file(tmp_path, {"subcommand": "jacobi-check", "threads": "2"}),
         lambda tmp_path: ["residue-check", "--threads", "0"],
         lambda tmp_path: ["residue-check", "--threads", "-3"],
+        _params_config("residue-check", params={"marked": 5}),
+        _params_config("residue-check", params={"marked": [0, "inf"], "series": 5}),
+        _params_config("residue-check", params={"pole_bound": "x"}),
+        _params_config("residue-check", params={"marked": [0, "inf"], "series": [[{"terms": [[0, 1, 1]]}]]}),
+        _params_config("residue-check", params={"marked": [0], "series": [[{"terms": [[0, 0, 1]]}]]}),
+        _params_config("propagate", points=5),
+        _params_config("propagate", params={"insertions": 5}),
+        _params_config("commute-check", params={"points_a": 5}),
+        _params_config("twist-modes", params={"k": [2, 3]}),
     ],
     ids=[
         "malformed-json", "degenerate-taylor", "unordered-points", "missing-config", "negative-grade", "zero-k",
         "params-not-object", "cutoffs-not-object", "string-cutoff", "float-coeff", "unknown-coeff",
         "zero-denominator-coeff", "vector-not-list", "monomial-not-list", "non-canonical-monomial",
         "zero-part-monomial", "float-part-monomial", "huge-cyclotomic-order", "string-threads", "zero-threads",
-        "negative-threads",
+        "negative-threads", "marked-not-list", "series-not-list", "string-pole-bound", "series-per-point",
+        "zero-denominator-exponent", "points-not-list", "insertions-not-list", "commute-points-not-list",
+        "twist-modes-k-list",
     ],
 )
 def test_bad_input_gives_one_line_and_exit_2(argv_for, tmp_path, capsys):

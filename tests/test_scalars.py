@@ -83,6 +83,13 @@ def test_powers_and_negative_powers():
     w3 = Scalar.root_of_unity(3)
     assert w3**-1 == w3**2
     assert Scalar.rational(2, 3) ** -2 == Scalar.rational(9, 4)
+    for x in (Scalar.rational(-3, 7), Scalar.integer(0), Scalar.integer(2)):
+        product = Scalar.integer(1)
+        for n in range(6):
+            assert x**n == product, (x, n)
+            product = product * x
+    with pytest.raises(ZeroDivisionError):
+        Scalar.integer(0) ** -1
 
 
 def test_hash_and_demotion():

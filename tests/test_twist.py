@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from support import fock, heis, rat, st, vac
 from voablocks.scalars import Scalar
@@ -377,6 +379,54 @@ def test_chart_cache_is_transparent():
                         n = Fraction(m, k)
                         got = warm.slot_mode_apply(vm, slot, n, st(W, wm))
                         assert got == fresh.slot_mode_apply(vm, slot, n, st(W, wm)), (k, vm, slot, m, wm)
+
+
+_SERIES_BASE = [st(H, (1,)), st(H, (2,)) + st(H, (1, 1), rat(-1, 3))]
+_SERIES_STATES = [(), (1,), (2,), (1, 1)]
+_SERIES_MODULE = fock(H, rat(2, 3))  # the zero mode makes more pairings nonzero
+
+
+def _series_query(twm, kind, scale, i, j, l):
+    """One series of ``twm``: scale times the i-th base vector, as the
+    generator-path input or in one slot of a tensor vector, between the j-th
+    and l-th states."""
+    v = _SERIES_BASE[i % len(_SERIES_BASE)].scale(scale)
+    w_mono, wp_mono = _SERIES_STATES[j % len(_SERIES_STATES)], _SERIES_STATES[l % len(_SERIES_STATES)]
+    if kind == "generator":
+        return twm.generator_series(v, w_mono, wp_mono)
+    factors = [VAC] * twm.k
+    factors[i % twm.k] = v
+    return twm.pairing_series(tensor_vector(twm.tensor, factors), w_mono, wp_mono)
+
+
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(
+    hst.lists(
+        hst.tuples(
+            hst.sampled_from(["generator", "pairing"]),
+            hst.integers(0, 9),
+            hst.integers(0, 9),
+            hst.integers(0, 9),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    hst.randoms(use_true_random=False),
+)
+def test_series_caches_are_transparent(draws, rng):
+    # one module per k fills its _series and _gen_series in a shuffled order,
+    # each draw with the multiples 1, -1, -2, 2 and 3 of its vector (hash(-1)
+    # == hash(-2) for ints and Fractions: the shape of an old hash-keyed cache
+    # collision); each result must equal that of a fresh module
+    warm = {k: TwistedModule(_SERIES_MODULE, k) for k in (2, 3)}
+    queries = [
+        (k, (kind, scale, *rest)) for kind, *rest in draws for scale in (1, -1, -2, 2, 3) for k in warm
+    ]
+    rng.shuffle(queries)
+    got = [_series_query(warm[k], *query) for k, query in queries]
+    assert any(twm._series or twm._gen_series for twm in warm.values())
+    for (k, query), series in zip(queries, got):
+        assert series == _series_query(TwistedModule(_SERIES_MODULE, k), *query), (k, query)
 
 
 def test_chart_correction_computed_once_per_monomial_and_slot(monkeypatch):

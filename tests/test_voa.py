@@ -339,6 +339,8 @@ def test_contragredient_mode_consistency():
 
 _CENTRAL_CHARGES = {"virasoro-1/2": rat(1, 2), "virasoro--22/5": rat(-22, 5)}
 _MOMENTA = {"heisenberg": None, "fock-0": rat(0), "fock-2/3": rat(2, 3)}
+# a momentum outside Q: its mode tables keep cyclotomic Scalars
+_ZETA3_MOMENTUM = Scalar.root_of_unity(3) + rat(1, 2)
 
 
 def _mode_space(name):
@@ -347,10 +349,12 @@ def _mode_space(name):
         alg = VirasoroAlgebra(_CENTRAL_CHARGES[name], cutoff=30)
         return alg, alg
     alg = heis(30)
+    if name == "fock-zeta3+1/2":
+        return alg, fock(alg, _ZETA3_MOMENTUM)
     return alg, alg if _MOMENTA[name] is None else fock(alg, _MOMENTA[name])
 
 
-@pytest.mark.parametrize("name", [*_MOMENTA, *_CENTRAL_CHARGES])
+@pytest.mark.parametrize("name", [*_MOMENTA, "fock-zeta3+1/2", *_CENTRAL_CHARGES])
 def test_translation_property(name):
     # Y(L_{-1} u)_n w = -n Y(u)_{n-1} w for every basis u of grade <= 5
     alg, module = _mode_space(name)
@@ -370,10 +374,18 @@ def test_translation_property(name):
     assert checked > 100
 
 
-@pytest.mark.parametrize("name", ["heisenberg", *_CENTRAL_CHARGES])
+@pytest.mark.parametrize("name", ["heisenberg", "fock-zeta3+1/2", *_CENTRAL_CHARGES])
 def test_creation_property(name):
-    # Y(u)_{-1}|0> = u and Y(u)_n|0> = 0 for n >= 0, for every basis u of grade <= 5
-    alg, _ = _mode_space(name)
+    # Y(u)_{-1}|0> = u and Y(u)_n|0> = 0 for n >= 0, for every basis u of grade <= 5;
+    # with a Fock module, its (cyclotomic) tables fill the algebra's cache first
+    alg, module = _mode_space(name)
+    if module is not alg:
+        cyclotomic = 0
+        for um in (m for g in range(6) for m in alg.basis(g)):
+            for n in range(-1, sum(um)):
+                acted = mode_action(st(alg, um), n, vac(module))
+                cyclotomic += any(c.is_cyclotomic() for c in acted.terms.values())
+        assert cyclotomic > 0
     vacuum = vac(alg)
     for gu in range(6):
         for um in alg.basis(gu):
@@ -401,6 +413,56 @@ def test_propagation_never_recurses_to_the_vacuum(monkeypatch):
     res = propagate_eval([a] * 4, zs, vac(W), vac(dual_of(W)), 16)
     assert not res.value.is_zero()
     assert seen[False] > 0 and seen[True] == 0
+
+
+# ---------------------------------------------------------------------------
+# mode tables hold plain rationals; Scalars are built at the GradedVector boundary
+
+
+def test_mode_tables_hold_plain_rationals():
+    H10 = heis(10)
+    T = TensorPowerAlgebra(heis(10), 2)
+    spaces = [(H10, H10), (H10, fock(H10, 0)), (H10, fock(H10, rat(2, 3))), (T, T)]
+    spaces += [(V, V) for V in (VirasoroAlgebra(c, cutoff=10) for c in _CENTRAL_CHARGES.values())]
+    for alg, module in spaces:
+        monos = [m for g in range(3) for m in alg.basis(g)]
+        for um, wm in itertools.product(monos, repeat=2):
+            u, w = st(alg, um), st(module, wm)
+            for diff in jacobi_sweep(mode_action, u, u, w, itertools.product(range(-1, 2), repeat=3)):
+                assert diff.is_zero()
+    fractions = 0
+    for alg in {T.base, *(alg for alg, _ in spaces)}:
+        assert alg._mode_cache
+        for table in alg._mode_cache.values():
+            assert all(type(c) in (int, Fraction) for c in table.values()), table
+            fractions += sum(type(c) is Fraction and c.denominator != 1 for c in table.values())
+    assert fractions > 0  # the momentum 2/3 and both central charges reach the tables
+
+
+def test_sweep_builds_a_scalar_product_rarely(monkeypatch):
+    # the grade <= 2, |m|, |n|, |h| <= 1 sweep on a fresh algebra made 9,144
+    # Scalar products when the mode tables held Scalars; now only the
+    # GradedVector boundary builds Scalars
+    products = collections.Counter()
+    original = Scalar.__mul__
+
+    def counted(self, other):
+        products["mul"] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    monkeypatch.setattr(Scalar, "__rmul__", counted)
+    H24 = heis(24)
+    W = fock(H24, 0)
+    instances = list(itertools.product(range(-1, 2), repeat=3))
+    swept = 0
+    for gu, gv, gw in itertools.product(range(3), repeat=3):
+        for um, vm, wm in itertools.product(H24.basis(gu), H24.basis(gv), W.basis(gw)):
+            diffs = list(jacobi_sweep(mode_action, st(H24, um), st(H24, vm), st(W, wm), instances))
+            assert all(d.is_zero() for d in diffs)
+            swept += len(diffs)
+    assert swept == 1728
+    assert products["mul"] <= 9144 // 4
 
 
 # ---------------------------------------------------------------------------
