@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .scalars import Scalar, binomial, plain
+from .scalars import Scalar, binomial
 from .series import FracLaurent
 from .voa import CutoffOverflow, DualModule, GradedVector, HeisenbergAlgebra, dual_pairing
 
@@ -64,8 +64,7 @@ class RationalExpr:
 
     @staticmethod
     def constant(c) -> "RationalExpr":
-        c = c if isinstance(c, (Scalar, FracLaurent)) else Scalar._coerce(c)
-        return RationalExpr({((), ()): c})
+        return RationalExpr.term(c)
 
     @staticmethod
     def term(coef, zpows=None, dpows=None) -> "RationalExpr":
@@ -271,7 +270,7 @@ def heisenberg_correlator(vs, w: GradedVector, wp: GradedVector) -> RationalExpr
         raise ValueError("w' must live in the graded dual of w's module")
     lam = module.momentum
     total = RationalExpr()
-    combos = [({}, S1)]
+    combos = [({}, 1)]
     # distribute the multilinear expansion over basis monomials
     for idx, v in enumerate(vs):
         if v.space is not alg:
@@ -288,8 +287,7 @@ def heisenberg_correlator(vs, w: GradedVector, wp: GradedVector) -> RationalExpr
             for wp_mono, wpc in wp.terms.items():
                 expr = _wick_sum(sites, w_mono, wp_mono, lam, len(vs))
                 if not expr.is_zero():
-                    norm = Scalar.from_fraction(1 / _gram_norm(wp_mono))
-                    total = total + expr.scale(coef0 * wc * wpc * norm)
+                    total = total + expr.scale(coef0 * wc * wpc * (1 / _gram_norm(wp_mono)))
     return total
 
 
@@ -376,26 +374,28 @@ class PropagationResult:
 def _apply_field(v: GradedVector, z: Scalar, state: GradedVector, cutoff: int, zpows=None) -> GradedVector:
     """sum_n z^{-n-1} Y(v)_n state, keeping output grades <= cutoff.
 
-    ``zpows`` maps an exponent e to z^e, as a plain value where z is
-    rational; calls with the same z may share it."""
+    ``zpows`` maps an exponent e to z^e, as an ``int`` or ``Fraction`` where
+    z is rational; calls with the same z may share it."""
     module = state.space
     alg = module.algebra
     if zpows is None:
         zpows = {}
+    if z.is_rational():
+        z = z.to_fraction()
     acc = {}
     for vm, vc in v.terms.items():
         wtv = alg.weight(vm)
-        vc = plain(vc)
         for sm, sc in state.terms.items():
             top = wtv + module.weight(sm) - 1
-            vs = vc * plain(sc)
+            vs = vc * sc
             for n in range(top - cutoff, top + 1):
                 res = alg.mode_mono(vm, n, sm, module)
                 if not res:
                     continue
                 zn = zpows.get(-n - 1)
                 if zn is None:
-                    zn = zpows[-n - 1] = plain(z ** (-n - 1))
+                    zn = z ** (-n - 1)
+                    zn = zpows[-n - 1] = zn.numerator if type(zn) is Fraction and zn.denominator == 1 else zn
                 zf = zn * vs
                 for m, c in res.items():
                     if m in acc:
@@ -438,9 +438,7 @@ def propagate_eval(vs, zs, w: GradedVector, wp: GradedVector, cutoff: int, keep=
     for g, part in sorted(state.weight_components().items()):
         acted = _apply_field(vs[-1], zs[-1], part, cutoff, zpows)
         shells.append((g, dual_pairing(acted, wp)))
-    total = S0
-    for _, s in shells:
-        total = total + s
+    total = sum((s for _, s in shells), S0)
     return PropagationResult(total, shells, _tail_estimate(shells, keep), len(vs) <= 1)
 
 
@@ -469,12 +467,11 @@ def propagate_expand(vs, w: GradedVector, wp: GradedVector, shell_cap: int) -> d
     module = w.space
     alg = module.algebra
     nvars = len(vs)
-    states = {m: {(0,) * nvars: plain(c)} for m, c in w.terms.items()}
+    states = {m: {(0,) * nvars: c} for m, c in w.terms.items()}
     for i, v in enumerate(vs):
         nxt = {}
         for vm, vc in v.terms.items():
             wtv = alg.weight(vm)
-            vc = plain(vc)
             for sm, poly in states.items():
                 top = wtv + module.weight(sm) - 1
                 for n in range(top - shell_cap, top + 1):
@@ -494,7 +491,6 @@ def propagate_expand(vs, w: GradedVector, wp: GradedVector, shell_cap: int) -> d
         cp = wp.terms.get(m)
         if cp is None:
             continue
-        cp = plain(cp)
         for key, c in poly.items():
             add = c * cp
             out[key] = out[key] + add if key in out else add

@@ -70,14 +70,16 @@ def _json_list(value, path):
     return value
 
 
-def _scalar_json(scalar: Scalar, mode: str):
+def _scalar_json(value, mode: str):
+    scalar = Scalar._coerce(value)  # a vector coefficient may be an int or Fraction
     if mode == "float":
         z = scalar.to_complex()
         return {"float": [z.real, z.imag]}
     return scalar.to_json()
 
 
-def _fmt(scalar: Scalar, mode: str) -> str:
+def _fmt(value, mode: str) -> str:
+    scalar = Scalar._coerce(value)
     if mode == "float":
         z = scalar.to_complex()
         return f"{z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}j"
@@ -141,6 +143,8 @@ class RunConfig:
             value = cfg.params.get(name, 0)
             if not isinstance(value, int) or value < 0:
                 raise ConfigError(f"params.{name}", "must be a non-negative integer")
+        if not isinstance(cfg.params.get("expect", True), bool):
+            raise ConfigError("params.expect", "must be true or false")
         ks = cfg.params.get("k", 1)
         if not all(isinstance(k, int) and k >= 1 for k in (ks if isinstance(ks, list) else [ks])):
             raise ConfigError("params.k", "must be a positive integer")

@@ -13,8 +13,8 @@ between cyclotomics of different k it raises (use ``embed`` explicitly).
 A cyclotomic result whose vector is purely rational demotes back to the
 rational variant, so equality and hashing are canonical.  ``to_complex``
 gives the float value of either variant.  Inner loops over rational data
-compute in plain ``int``/``Fraction`` instead: ``plain`` unwraps a rational
-Scalar, and Python's mixed arithmetic carries a cyclotomic one along.
+(mode tables, graded-vector coefficients) compute in plain ``int``/``Fraction``
+instead, and Python's mixed arithmetic carries a cyclotomic Scalar along.
 """
 
 from __future__ import annotations
@@ -380,16 +380,6 @@ def _json_fraction(pair) -> Fraction:
     if not (isinstance(p, int) and isinstance(q, int)):
         raise TypeError("rational coordinates must be integer pairs")
     return Fraction(p, q)
-
-
-def plain(x):
-    """A rational Scalar as a plain Python rational: its int when integral,
-    else its Fraction.  Anything else (an int, a Fraction, a cyclotomic
-    Scalar, a series) is returned unchanged."""
-    if type(x) is Scalar and x._rat is not None:
-        r = x._rat
-        return r.numerator if r.denominator == 1 else r
-    return x
 
 
 def binomial(r, m: int):

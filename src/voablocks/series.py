@@ -123,7 +123,7 @@ class FracLaurent:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
-            other = FracLaurent(self.var, 1, {Fraction(0): Scalar._coerce(other) if not isinstance(other, Scalar) else other})
+            other = FracLaurent(self.var, 1, {Fraction(0): other})
         if not isinstance(other, FracLaurent):
             return NotImplemented
         self._check_var(other)
@@ -141,9 +141,7 @@ class FracLaurent:
         return FracLaurent(self.var, self.k, {e: -c for e, c in self.terms.items()}, self.trunc)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self + (-(Scalar._coerce(other) if not isinstance(other, Scalar) else other))
-        if not isinstance(other, FracLaurent):
+        if not isinstance(other, (int, Fraction, Scalar, FracLaurent)):
             return NotImplemented
         return self + (-other)
 

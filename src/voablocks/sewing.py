@@ -156,11 +156,9 @@ def _sewn_block_expansion(vs_a, za, vs_b, zb, w, wp, q_cutoff, qvar):
     shift_ins = sum(v.homogeneous_weight() for v in vs_a)
     points = {}
     for i, z in enumerate(za):
-        zc = z if isinstance(z, Scalar) else Scalar._coerce(z)
-        points[i] = FracLaurent.monomial(qvar, 1, zc)
+        points[i] = FracLaurent.monomial(qvar, 1, z)
     for j, z in enumerate(zb):
-        zc = z if isinstance(z, Scalar) else Scalar._coerce(z)
-        points[len(za) + j] = FracLaurent(qvar, 1, {Fraction(0): zc})
+        points[len(za) + j] = FracLaurent(qvar, 1, {Fraction(0): z})
     out = FracLaurent.zero(qvar, 1, trunc=q_cutoff + 1)
     for h, w_part in w.weight_components().items():
         expr_h = heisenberg_correlator(list(vs_a) + list(vs_b), w_part, wp)

@@ -40,7 +40,6 @@ from .voa import (
 )
 
 S0 = Scalar.integer(0)
-S1 = Scalar.integer(1)
 
 TVAR = "t"
 
@@ -150,10 +149,10 @@ class TwistedModule:
             val = res.get(wp_mono)
             if val is None:
                 continue
-            contrib = coef.shift(-m - 1).scale(val) if isinstance(coef, FracLaurent) else None
-            if contrib is None:
-                contrib = FracLaurent.monomial(TVAR, 0, val * coef).shift(-m - 1)
-            total = total + contrib
+            if isinstance(coef, FracLaurent):
+                total = total + coef.shift(-m - 1).scale(val)
+            else:
+                total = total + FracLaurent.monomial(TVAR, -m - 1, val * coef)
         self._gen_series[key] = total
         return total
 
@@ -347,7 +346,7 @@ def product_expansion_check(tw: TwistedModule, u: GradedVector, v_slots, w, wp, 
                 series = FracLaurent.zero(TVAR, 1)
                 for mono, coef in composed.terms.items():
                     series = series + tw.pairing_series(
-                        GradedVector(tw.tensor, {mono: S1}), wm, pm
+                        GradedVector(tw.tensor, {mono: 1}), wm, pm
                     ).scale(coef)
                 total = total + series.evaluate(s_xi) * wc * pc
         if not total.is_zero():
@@ -367,7 +366,7 @@ def eigencomponents(u: GradedVector, k: int) -> dict:
         for i in range(k):
             acc = acc + cur.scale(Scalar.root_of_unity(k, i * j))
             cur = cycle_rotate(cur)
-        acc = acc.scale(Scalar.rational(1, k))
+        acc = acc.scale(Fraction(1, k))
         if not acc.is_zero():
             comps[j] = acc
     return comps
@@ -391,7 +390,7 @@ def check_grading(tw: TwistedModule, vectors, states, n_values) -> bool:
                     u, n, _scale_by_twisted_weight(tw, w)
                 )
                 alpha = u.homogeneous_weight()
-                rhs = img.scale(Scalar.from_fraction(Fraction(alpha) - n - 1))
+                rhs = img.scale(Fraction(alpha) - n - 1)
                 if not (lhs - rhs).is_zero():
                     return False
     return True
@@ -400,7 +399,7 @@ def check_grading(tw: TwistedModule, vectors, states, n_values) -> bool:
 def _scale_by_twisted_weight(tw, vec):
     out = GradedVector(vec.space)
     for h, part in vec.weight_components().items():
-        out = out + part.scale(Scalar.from_fraction(Fraction(h, tw.k)))
+        out = out + part.scale(Fraction(h, tw.k))
     return out
 
 

@@ -29,12 +29,13 @@ it is computed by PBW straightening and cached only under that mode_mono key.
 All values are immutable and the mode cache is only ever filled with
 deterministic pure results.
 
-Mode tables hold plain Python rationals: an ``int``, or a ``Fraction`` where
-a rational momentum or central charge makes a value non-integral.  Only a
-structure constant that is not rational (a cyclotomic Fock momentum) stays a
-``Scalar``, and mixed arithmetic carries it through the same code.  The
-mode-action loops compute in these plain values too; ``GradedVector`` turns
-each result coefficient into a ``Scalar`` once, at the API boundary.
+Mode tables and vector coefficients hold plain Python rationals: an
+``int``, or a ``Fraction`` where a rational momentum or central charge makes
+a value non-integral.  Only a value that is not rational (a cyclotomic Fock
+momentum) stays a ``Scalar``, and mixed arithmetic carries it through the
+same code.  So the mode-action loops multiply stored values directly; a
+``Scalar`` is built only where a caller asks for one (``dual_pairing``,
+``GradedVector.coefficient``).
 """
 
 from __future__ import annotations
@@ -43,11 +44,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import Scalar, binomial, plain
-
-S0 = Scalar.integer(0)
-S1 = Scalar.integer(1)
-
+from .scalars import Scalar, binomial
+from .series import FracLaurent
 
 class CutoffOverflow(Exception):
     """A result would live above the hard weight wall of the algebra."""
@@ -214,11 +212,11 @@ class HeisenbergAlgebra(_GeneratorAlgebra):
     """Rank-1 free boson: [a_m, a_n] = m delta_{m+n,0}, generator a = a_{-1}|0>."""
 
     kind = "heisenberg"
-    momentum = S0  # as its own (adjoint) module the zero mode acts by 0
+    momentum = Scalar.integer(0)  # as its own (adjoint) module the zero mode acts by 0
 
     def conformal_monos(self):
         # c = (1/2) a_{-1} a_{-1} |0>
-        return {(1, 1): Scalar.rational(1, 2)}
+        return {(1, 1): Fraction(1, 2)}
 
     def peel(self, u_mono):
         return -u_mono[0], u_mono[1:]
@@ -228,7 +226,10 @@ class HeisenbergAlgebra(_GeneratorAlgebra):
         if j < 0:
             return {_insert_part(w_mono, -j): 1}
         if j == 0:
-            return {} if momentum.is_zero() else {w_mono: plain(momentum)}
+            if momentum.is_zero():
+                return {}
+            p = momentum.to_fraction() if momentum.is_rational() else momentum
+            return {w_mono: p.numerator if type(p) is Fraction and p.denominator == 1 else p}
         mult = w_mono.count(j)
         if mult == 0:
             return {}
@@ -254,12 +255,11 @@ class VirasoroAlgebra(_GeneratorAlgebra):
 
     def __init__(self, central_charge, cutoff: int):
         super().__init__(cutoff)
-        c = central_charge
-        self.central_charge = c if isinstance(c, Scalar) else Scalar._coerce(c)
-        self._c = plain(self.central_charge)
+        self.central_charge = c = Scalar._coerce(central_charge)
+        self._c = c.to_fraction() if c.is_rational() else c
 
     def conformal_monos(self):
-        return {(2,): S1}
+        return {(2,): 1}
 
     def peel(self, u_mono):
         return -u_mono[0] + 1, u_mono[1:]
@@ -408,8 +408,7 @@ class FockModule:
         if not isinstance(algebra, HeisenbergAlgebra):
             raise ValueError("Fock modules exist over the Heisenberg algebra")
         self.algebra = algebra
-        m = momentum
-        self.momentum = m if isinstance(m, Scalar) else Scalar._coerce(m)
+        self.momentum = Scalar._coerce(momentum)
         # exact and hashed cheaply: str is canonical for a Scalar and caches its hash
         self.module_key = ("fock", str(self.momentum))
 
@@ -480,8 +479,12 @@ class DualModule:
 class GradedVector:
     """Finite combination of weighted basis monomials of one space.
 
-    Coefficients are Scalars, or FracLaurent series when a formal parameter
-    rides along (e.g. coordinate-change images inside the twisted machinery).
+    A rational coefficient is stored as an ``int`` (when integral) or a
+    ``Fraction``, a non-rational one as a cyclotomic ``Scalar``, and a
+    FracLaurent series when a formal parameter rides along (e.g.
+    coordinate-change images inside the twisted machinery).  The constructor
+    copies its input, brings every value to that one type and drops zeros,
+    so equal vectors have equal ``terms`` items, hashes included.
     """
 
     __slots__ = ("space", "terms")
@@ -490,9 +493,21 @@ class GradedVector:
         self.space = space
         clean = {}
         for m, c in (terms or {}).items():
-            if not isinstance(c, Scalar) and not hasattr(c, "terms"):
-                c = Scalar._coerce(c)
-            if not c.is_zero():
+            t = type(c)
+            if t is not int:
+                if isinstance(c, FracLaurent):
+                    if not c.is_zero():
+                        clean[m] = c
+                    continue
+                if t is not Fraction:
+                    c = Scalar._coerce(c)
+                    if not c.is_rational():  # cyclotomic, never zero
+                        clean[m] = c
+                        continue
+                    c = c.to_fraction()
+                if c.denominator == 1:
+                    c = c.numerator
+            if c:
                 clean[m] = c
         self.terms = clean
 
@@ -564,7 +579,9 @@ class GradedVector:
         return max((self.space.weight(m) for m in self.terms), default=0)
 
     def coefficient(self, mono):
-        return self.terms.get(tuple(mono), S0)
+        """The coefficient of a basis monomial, as a Scalar for a scalar one."""
+        c = self.terms.get(tuple(mono), 0)
+        return c if isinstance(c, FracLaurent) else Scalar._coerce(c)
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +589,8 @@ class GradedVector:
 
 
 def _as_int_index(n):
+    if type(n) is int:
+        return n
     n = Fraction(n)
     if n.denominator != 1:
         raise ValueError("untwisted mode indices must be integers")
@@ -597,7 +616,6 @@ def mode_action(u: GradedVector, n, w: GradedVector) -> GradedVector:
     out = {}
     cutoff = alg.cutoff
     for um, uc in u.terms.items():
-        uc = plain(uc)
         for wm, wc in w.terms.items():
             wt_out = alg.weight(um) + module.weight(wm) - n - 1
             if wt_out < 0:
@@ -607,7 +625,7 @@ def mode_action(u: GradedVector, n, w: GradedVector) -> GradedVector:
             res = alg.mode_mono(um, n, wm, module)
             if not res:
                 continue
-            x = uc * plain(wc)
+            x = uc * wc
             for m, c in res.items():
                 if m in out:
                     out[m] = out[m] + c * x
@@ -649,7 +667,7 @@ def jacobi_sweep(act, u: GradedVector, v: GradedVector, w: GradedVector, instanc
 
     def add(total, vec, c):
         for mono, x in vec.terms.items():
-            _acc(total, mono, plain(x) * c)
+            _acc(total, mono, x * c)
 
     for m, n, h in instances:
         total = {}
@@ -696,15 +714,17 @@ def virasoro_mode(n: int, w: GradedVector) -> GradedVector:
 
 
 def dual_pairing(w: GradedVector, wp: GradedVector):
-    """<w, w'> with w' in the graded dual of w's module."""
+    """<w, w'> with w' in the graded dual of w's module: a Scalar, or a
+    FracLaurent where a formal parameter rides along."""
     if not getattr(wp.space, "is_dual", False) or wp.space.base is not w.space:
         raise ValueError("mismatched module descriptors in dual pairing")
-    total = S0
-    for m, c in w.terms.items():
-        cp = wp.terms.get(m)
-        if cp is not None:
-            total = total + c * cp
-    return total
+    total = _pairing(w, wp)
+    return total if isinstance(total, FracLaurent) else Scalar._coerce(total)
+
+
+def _pairing(w: GradedVector, wp: GradedVector):
+    # <w, w'> in the stored values, unchecked
+    return sum(c * wp.terms[m] for m, c in w.terms.items() if m in wp.terms)
 
 
 def contragredient_mode(u: GradedVector, n, wp: GradedVector) -> GradedVector:
@@ -719,17 +739,16 @@ def contragredient_mode(u: GradedVector, n, wp: GradedVector) -> GradedVector:
     if not getattr(dual, "is_dual", False):
         raise ValueError("contragredient_mode needs a dual-module vector")
     W = dual.base
-    alg = u.space
     out = {}
     for h, u_part in u.weight_components().items():
-        ladder = []
-        v = u_part
-        j = 0
-        while not v.is_zero():
-            ladder.append((j, v))
-            v = virasoro_mode(1, v)
-            j += 1
-        sign = Scalar.integer((-1) ** h)
+        # the L_1 ladder of u; rung j carries its mode index and the integer
+        # (-1)^h top / j!, so each coefficient takes one division by top
+        rungs = [u_part]
+        while not rungs[-1].is_zero():
+            rungs.append(virasoro_mode(1, rungs[-1]))
+        rungs.pop()  # the zero that ends the ladder
+        top = math.factorial(len(rungs) - 1)
+        ladder = [(2 * h - j - n - 2, (-1) ** h * (top // math.factorial(j)), uj) for j, uj in enumerate(rungs)]
         for g, wp_part in wp.weight_components().items():
             target = h + g - n - 1
             if target < 0:
@@ -737,16 +756,11 @@ def contragredient_mode(u: GradedVector, n, wp: GradedVector) -> GradedVector:
             if target > W.cutoff:
                 raise CutoffOverflow(target, W.cutoff)
             for b in W.basis(target):
-                val = S0
-                bvec = GradedVector.state(W, b)
-                for j, uj in ladder:
-                    m_idx = 2 * h - j - n - 2
-                    acted = mode_action(uj, m_idx, bvec)
-                    term = dual_pairing(acted, wp_part)
-                    val = val + term * Scalar.from_fraction(Fraction(1, math.factorial(j)))
-                val = val * sign
-                if not val.is_zero():
-                    _acc(out, b, val)
+                bvec = GradedVector(W, {b: 1})
+                val = 0
+                for m_idx, c, uj in ladder:
+                    val = val + c * _pairing(mode_action(uj, m_idx, bvec), wp_part)
+                _acc(out, b, val * Fraction(1, top) if top > 1 else val)
     return GradedVector(dual, out)
 
 
@@ -754,7 +768,7 @@ def tensor_vector(alg: TensorPowerAlgebra, factors) -> GradedVector:
     """The tensor product of k base-algebra vectors."""
     if len(factors) != alg.k:
         raise ValueError(f"expected {alg.k} tensor factors, got {len(factors)}")
-    terms = {(): S1}
+    terms = {(): 1}
     for v in factors:
         if v.space is not alg.base:
             raise ValueError("tensor factors must lie in the base algebra")

@@ -349,6 +349,10 @@ def _negative_index_bound(tmp_path):
         _params_config("residue-check", params={"pole_bound": "x"}),
         _params_config("residue-check", params={"marked": [0, "inf"], "series": [[{"terms": [[0, 1, 1]]}]]}),
         _params_config("residue-check", params={"marked": [0], "series": [[{"terms": [[0, 0, 1]]}]]}),
+        _params_config("residue-check", params={
+            "marked": ["0", "inf"], "series": [[{"terms": [[0, 1, 1]], "trunc": 8}]] * 2,
+            "pole_bound": 2, "dual_pole_bound": 2, "expect": "yes",
+        }),
         _params_config("propagate", points=5),
         _params_config("propagate", params={"insertions": 5}),
         _params_config("commute-check", params={"points_a": 5}),
@@ -360,7 +364,7 @@ def _negative_index_bound(tmp_path):
         "zero-denominator-coeff", "vector-not-list", "monomial-not-list", "non-canonical-monomial",
         "zero-part-monomial", "float-part-monomial", "huge-cyclotomic-order", "string-threads", "zero-threads",
         "negative-threads", "marked-not-list", "series-not-list", "string-pole-bound", "series-per-point",
-        "zero-denominator-exponent", "points-not-list", "insertions-not-list", "commute-points-not-list",
+        "zero-denominator-exponent", "string-expect", "points-not-list", "insertions-not-list", "commute-points-not-list",
         "twist-modes-k-list",
     ],
 )

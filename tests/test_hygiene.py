@@ -1,0 +1,66 @@
+"""Repository hygiene: the library keeps no dead helpers."""
+
+import ast
+import collections
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = ROOT / "src" / "voablocks"
+
+
+def _definitions():
+    """(name, file) of every module-level function and class of the library
+    and every non-dunder method of its module-level classes."""
+    out = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                out.append((node.name, path))
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                        out.append((item.name, path))
+    return out
+
+
+def _mentions(path):
+    """(bare names, names that can reach another module) used in one file.
+
+    A bare name in another file is a local of that file, so only attribute
+    accesses, imports and the words of non-docstring strings (``__all__``,
+    ``getattr`` names, benchmark span names) count across files.  Comments
+    and docstrings never count."""
+    tree = ast.parse(path.read_text())
+    docstrings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                docstrings.add(id(first.value))
+    bare, reaching = collections.Counter(), collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            bare[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            reaching[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            reaching[node.name.rpartition(".")[2]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+            reaching.update(re.findall(r"\w+", node.value))
+    return bare, reaching
+
+
+def test_every_library_definition_is_used():
+    # a function, class or method that no code in src/, tests/ or perfbench/
+    # refers to is dead; each concept keeps one live implementation
+    bare = {}
+    reaching = collections.Counter()
+    for top in ("src", "tests", "perfbench"):
+        for path in (ROOT / top).rglob("*.py"):
+            bare[path], used = _mentions(path)
+            reaching.update(used)
+    dead = sorted(
+        f"{path.name}:{name}" for name, path in _definitions() if not reaching[name] and not bare[path][name]
+    )
+    assert not dead, f"defined but never used: {dead}"

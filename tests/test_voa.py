@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from support import fock, heis, rat, st, vac
-from voablocks.blocks import propagate_eval
+from voablocks.blocks import propagate_eval, propagate_expand
 from voablocks.scalars import Scalar
 from voablocks.voa import (
     CutoffOverflow,
@@ -384,7 +384,7 @@ def test_creation_property(name):
         for um in (m for g in range(6) for m in alg.basis(g)):
             for n in range(-1, sum(um)):
                 acted = mode_action(st(alg, um), n, vac(module))
-                cyclotomic += any(c.is_cyclotomic() for c in acted.terms.values())
+                cyclotomic += any(isinstance(c, Scalar) and c.is_cyclotomic() for c in acted.terms.values())
         assert cyclotomic > 0
     vacuum = vac(alg)
     for gu in range(6):
@@ -416,7 +416,8 @@ def test_propagation_never_recurses_to_the_vacuum(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# mode tables hold plain rationals; Scalars are built at the GradedVector boundary
+# mode tables and vector coefficients hold plain rationals; Scalars are built
+# only where a caller asks for one
 
 
 def test_mode_tables_hold_plain_rationals():
@@ -439,21 +440,20 @@ def test_mode_tables_hold_plain_rationals():
     assert fractions > 0  # the momentum 2/3 and both central charges reach the tables
 
 
-def test_sweep_builds_a_scalar_product_rarely(monkeypatch):
-    # the grade <= 2, |m|, |n|, |h| <= 1 sweep on a fresh algebra made 9,144
-    # Scalar products when the mode tables held Scalars; now only the
-    # GradedVector boundary builds Scalars
-    products = collections.Counter()
-    original = Scalar.__mul__
-
-    def counted(self, other):
-        products["mul"] += 1
-        return original(self, other)
-
-    monkeypatch.setattr(Scalar, "__mul__", counted)
-    monkeypatch.setattr(Scalar, "__rmul__", counted)
+def test_sweep_builds_no_scalar(monkeypatch):
+    # the grade <= 2, |m|, |n|, |h| <= 1 sweep on a fresh Fock module built
+    # 3,455 Scalars when vectors stored their coefficients as Scalars and the
+    # mode-action loops unwrapped them again; now it builds none
     H24 = heis(24)
     W = fock(H24, 0)
+    built = collections.Counter()
+    original = Scalar.__init__
+
+    def counted(self, *args, **kwargs):
+        built["scalar"] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Scalar, "__init__", counted)
     instances = list(itertools.product(range(-1, 2), repeat=3))
     swept = 0
     for gu, gv, gw in itertools.product(range(3), repeat=3):
@@ -462,7 +462,119 @@ def test_sweep_builds_a_scalar_product_rarely(monkeypatch):
             assert all(d.is_zero() for d in diffs)
             swept += len(diffs)
     assert swept == 1728
-    assert products["mul"] <= 9144 // 4
+    assert built["scalar"] == 0
+
+
+# vectors store each value with one type: int, Fraction or cyclotomic Scalar
+
+_COEF_SPACES = {name: _mode_space(name) for name in ("heisenberg", "fock-0", "fock-2/3", "fock-zeta3+1/2", "virasoro-1/2")}
+_ZETA3 = Scalar.root_of_unity(3)
+_COEF_TERMS = hst.lists(
+    hst.tuples(hst.integers(0, 10**6), hst.integers(-4, 4), hst.integers(1, 3), hst.booleans()),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _two_builds(space, grade, terms):
+    """The same vector through ``state`` twice: with int/Fraction coefficients,
+    and with rational Scalars, some of them the result of cyclotomic
+    arithmetic (1 + w + w^2 = 0 for the cube root of unity w)."""
+    monos = [m for g in range(grade + 1) for m in space.basis(g)]
+    plain_vec, scalar_vec = GradedVector(space), GradedVector(space)
+    for i, p, q, via_zeta in terms:
+        mono = monos[i % len(monos)]
+        plain_vec = plain_vec + st(space, mono, p if q == 1 and via_zeta else Fraction(p, q))
+        coef = rat(p, q) + (1 + _ZETA3 + _ZETA3 * _ZETA3 if via_zeta else 0)
+        scalar_vec = scalar_vec + st(space, mono, coef)
+    return plain_vec, scalar_vec
+
+
+def _assert_one_type(x):
+    for c in x.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1) or (
+            type(c) is Scalar and c.is_cyclotomic()
+        ), (c, x)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    hst.sampled_from(sorted(_COEF_SPACES)),
+    _COEF_TERMS,
+    _COEF_TERMS,
+    _COEF_TERMS,
+    hst.integers(-3, 3),
+    hst.integers(-2, 3),
+)
+def test_vector_coefficients_have_one_type(name, u_terms, v_terms, w_terms, c, n):
+    alg, module = _COEF_SPACES[name]
+    T = TensorPowerAlgebra(alg, 2)
+    results = []
+    for build in range(2):
+        u = _two_builds(alg, 2, u_terms)[build]
+        v = _two_builds(alg, 2, v_terms)[build]
+        w = _two_builds(module, 2, w_terms)[build]
+        t = tensor_vector(T, [u, v])
+        results.append([u, w, u.scale(Scalar.integer(c)), u + v, u - v, mode_action(u, n, w), t, cycle_rotate(t)])
+    for from_plain, from_scalars in zip(*results):
+        _assert_one_type(from_plain)
+        _assert_one_type(from_scalars)
+        assert from_plain == from_scalars
+        # the twisted series caches key on these items
+        assert frozenset(from_plain.terms.items()) == frozenset(from_scalars.terms.items())
+
+
+def test_api_results_are_scalars():
+    W = fock(H, rat(2, 3))
+    Wd = dual_of(W)
+    w = st(W, (1,), 3)
+    wp = st(Wd, (1,), Fraction(1, 2))
+    assert type(dual_pairing(w, wp)) is Scalar and dual_pairing(w, wp) == rat(3, 2)
+    assert type(dual_pairing(w, st(Wd, (2,)))) is Scalar
+    assert type(w.coefficient((1,))) is Scalar and w.coefficient([1]) == rat(3)
+    assert type(w.coefficient((2,))) is Scalar and w.coefficient((2,)).is_zero()
+    res = propagate_eval([A, A], [rat(1, 2), rat(2)], w, wp, 12)
+    assert type(res.value) is Scalar and not res.value.is_zero()
+    assert all(type(s) is Scalar for _, s in res.shells)
+    expansion = propagate_expand([A, A], w, wp, 6)
+    assert expansion and all(type(x) is Scalar for x in expansion.values())
+
+
+# tensor powers: the rotation and the basis check of ``state``
+
+_TENSOR_POWERS = {k: TensorPowerAlgebra(heis(12), k) for k in (2, 3)}
+_TENSOR_MONOS = {k: [m for g in range(4) for m in T.basis(g)] for k, T in _TENSOR_POWERS.items()}
+_BAD_SLOTS = [(1, 2), (0,), (-1,), (1.0,), (True,), [1], 1, None]
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(
+    hst.sampled_from([2, 3]),
+    hst.lists(hst.tuples(hst.integers(0, 10**6), hst.integers(-3, 3)), min_size=1, max_size=5),
+    hst.integers(0, 10**6),
+    hst.integers(0, 2),
+    hst.sampled_from(_BAD_SLOTS),
+)
+def test_tensor_power_rotation_and_basis_check(k, picks, pick, slot, bad_slot):
+    T = _TENSOR_POWERS[k]
+    monos = _TENSOR_MONOS[k]
+    u = GradedVector(T)
+    for i, c in picks:
+        u = u + st(T, monos[i % len(monos)], c)
+    # g keeps every weight component in its weight, and g^k = 1
+    rotated = cycle_rotate(u)
+    assert rotated.weight_components() == {g: cycle_rotate(part) for g, part in u.weight_components().items()}
+    x = u
+    for _ in range(k):
+        x = cycle_rotate(x)
+    assert x == u
+    # state refuses a non-basis slot and a wrong number of slots
+    mono = monos[pick % len(monos)]
+    bad = list(mono)
+    bad[slot % k] = bad_slot
+    for wrong in (tuple(bad), mono[:-1], mono + ((),)):
+        with pytest.raises(ValueError, match="not a basis monomial"):
+            st(T, wrong)
 
 
 # ---------------------------------------------------------------------------
