@@ -21,23 +21,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .scalars import Scalar, binomial
+from .scalars import Scalar, binomial, exact_pow, stored
 from .series import FracLaurent
 from .voa import CutoffOverflow, DualModule, GradedVector, HeisenbergAlgebra, dual_pairing
-
-S0 = Scalar.integer(0)
-S1 = Scalar.integer(1)
 
 INF = "infinity"  # marked-point sentinel for the point at infinity
 
 
-def _check_marked_points(points):
-    seen = set()
-    for x in points:
-        key = "inf" if x is INF else Fraction(x.to_fraction() if isinstance(x, Scalar) else x)
-        if key in seen:
-            raise ValueError("marked points must be pairwise distinct")
-        seen.add(key)
+def _stored_points(points, series_data):
+    # the marked points, stored, once distinct and matched by equally long data
+    if not points:
+        raise ValueError("at least one marked point is needed")
+    if len(series_data) != len(points) or len({len(comps) for comps in series_data}) != 1:
+        raise ValueError("every marked point needs expansion data with the same number of components")
+    points = [x if x is INF else stored(x) for x in points]
+    if len(set(points)) != len(points):
+        raise ValueError("marked points must be pairwise distinct")
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -47,10 +47,10 @@ def _check_marked_points(points):
 class RationalExpr:
     """Sum of terms coef * prod z_i^e_i * prod (z_i - z_j)^e_ij (i < j).
 
-    Coefficients are Scalars (or formal series when a parameter rides
-    along).  This normal form is closed under the arithmetic the Wick
-    oracle needs and supports exact evaluation, substitution of series
-    for the points, and chamber expansions.
+    Coefficients are stored values (``scalars.stored``), or formal series
+    when a parameter rides along.  This normal form is closed under the
+    arithmetic the Wick oracle needs and supports exact evaluation,
+    substitution of series for the points, and chamber expansions.
     """
 
     __slots__ = ("terms",)
@@ -59,18 +59,14 @@ class RationalExpr:
         # terms: dict[(zpows, dpows) -> coef] with zpows/dpows sorted tuples
         self.terms = {}
         for key, c in (terms or {}).items():
-            if not c.is_zero():
+            c = stored(c)
+            if c:
                 self.terms[key] = c
-
-    @staticmethod
-    def constant(c) -> "RationalExpr":
-        return RationalExpr.term(c)
 
     @staticmethod
     def term(coef, zpows=None, dpows=None) -> "RationalExpr":
         zp = tuple(sorted((i, e) for i, e in (zpows or {}).items() if e != 0))
         dp = tuple(sorted(((i, j), e) for (i, j), e in (dpows or {}).items() if e != 0))
-        coef = coef if isinstance(coef, (Scalar, FracLaurent)) else Scalar._coerce(coef)
         return RationalExpr({(zp, dp): coef})
 
     def is_zero(self):
@@ -120,36 +116,30 @@ class RationalExpr:
         return "RationalExpr(" + " + ".join(bits) + ")"
 
     def evaluate(self, points: dict) -> Scalar:
-        """Exact value at distinct points (Scalar-valued, pairwise distinct)."""
-        pts = {i: p if isinstance(p, Scalar) else Scalar._coerce(p) for i, p in points.items()}
-        total = S0
+        """Exact value, a Scalar, at pairwise distinct scalar points."""
+        pts = {i: stored(p) for i, p in points.items()}
+        total = 0
         for (zp, dp), c in self.terms.items():
             val = c
             for i, e in zp:
-                val = val * pts[i] ** e
+                val = val * exact_pow(pts[i], e)
             for (i, j), e in dp:
                 diff = pts[i] - pts[j]
-                if diff.is_zero():
+                if not diff:
                     raise ZeroDivisionError("coincident insertion points")
-                val = val * diff**e
+                val = val * exact_pow(diff, e)
             total = total + val
-        return total
+        return Scalar._coerce(total)
 
     def substitute(self, points: dict, var: str, order=None) -> FracLaurent:
-        """Substitute a FracLaurent (or Scalar, treated as constant) for each
+        """Substitute a FracLaurent (or scalar, treated as constant) for each
         point and return the resulting series in ``var``.
 
         Exact when every needed factor is a monomial; otherwise ``order``
         bounds the binomial expansions of the non-monomial factors.
         """
 
-        def as_series(p):
-            if isinstance(p, FracLaurent):
-                return p
-            p = p if isinstance(p, Scalar) else Scalar._coerce(p)
-            return FracLaurent(var, 1, {Fraction(0): p})
-
-        pts = {i: as_series(p) for i, p in points.items()}
+        pts = {i: p if isinstance(p, FracLaurent) else FracLaurent(var, 1, {0: p}) for i, p in points.items()}
         lat = 1
         for p in pts.values():
             lat = lat * p.k // math.gcd(lat, p.k)
@@ -187,17 +177,17 @@ class RationalExpr:
                 sign = (-1) ** (e % 2) if big == j else 1
                 fac = {}
                 for m in range(max_m + 1):
-                    coef = Fraction(binomial(e, m)) * (-1) ** (m % 2) * sign
+                    coef = binomial(e, m) * (-1) ** (m % 2) * sign
                     if coef == 0:
                         continue
                     key = [0] * n
                     key[pos[small]] = m
                     key[pos[big]] = e - m
-                    fac[tuple(key)] = Scalar.from_fraction(coef)
+                    fac[tuple(key)] = coef
                 poly = _mpoly_mul(poly, fac)
             for k, v in poly.items():
                 total[k] = total[k] + v if k in total else v
-        return {k: v for k, v in total.items() if not v.is_zero()}
+        return {k: v for k, v in ((k, stored(v)) for k, v in total.items()) if v}
 
 
 def _tadd(key, pos, e):
@@ -312,38 +302,37 @@ def _wick_sum(sites, w_mono, wp_mono, lam, nsites) -> RationalExpr:
                 return RationalExpr()  # no self-contraction inside one insertion
             if i > j:
                 i, p, j, q = j, q, i, p
-            coef = Fraction((-1) ** (p % 2) * math.factorial(p + q + 1)) * np_ * nq
-            return RationalExpr.term(Scalar.from_fraction(coef), dpows={(i, j): -(p + q + 2)})
+            coef = (-1) ** (p % 2) * math.factorial(p + q + 1) * np_ * nq
+            return RationalExpr.term(coef, dpows={(i, j): -(p + q + 2)})
         if ka == "site" and kb == "out":
             _, i, p, norm = a
             _, nu = b
-            coef = Fraction(_falling(nu, p + 1)) * norm
+            coef = _falling(nu, p + 1) * norm
             if coef == 0:
                 return RationalExpr()
-            return RationalExpr.term(Scalar.from_fraction(coef), zpows={i: nu - 1 - p})
+            return RationalExpr.term(coef, zpows={i: nu - 1 - p})
         if ka == "site" and kb == "in":
             _, i, p, norm = a
             _, mu = b
-            coef = Fraction((-1) ** (p % 2) * _rising(mu, p + 1)) * norm
-            return RationalExpr.term(Scalar.from_fraction(coef), zpows={i: -mu - 1 - p})
+            coef = (-1) ** (p % 2) * _rising(mu, p + 1) * norm
+            return RationalExpr.term(coef, zpows={i: -mu - 1 - p})
         if ka == "out" and kb == "in":
             _, nu = a
             _, mu = b
             if nu != mu:
                 return RationalExpr()
-            return RationalExpr.constant(nu)
+            return RationalExpr.term(nu)
         return RationalExpr()  # out-out and in-in never contract
 
     def lone(a) -> RationalExpr:
-        if a[0] != "site" or lam.is_zero():
+        if a[0] != "site" or not lam:
             return RationalExpr()
         _, i, p, norm = a
-        coef = Scalar.from_fraction(Fraction((-1) ** (p % 2) * math.factorial(p)) * norm)
-        return RationalExpr.term(coef * lam, zpows={i: -1 - p})
+        return RationalExpr.term((-1) ** (p % 2) * math.factorial(p) * norm * lam, zpows={i: -1 - p})
 
     def rec(remaining) -> RationalExpr:
         if not remaining:
-            return RationalExpr.constant(1)
+            return RationalExpr.term(1)
         first, rest = remaining[0], remaining[1:]
         out = RationalExpr()
         solo = lone(first)
@@ -371,17 +360,16 @@ class PropagationResult:
     exact: bool
 
 
-def _apply_field(v: GradedVector, z: Scalar, state: GradedVector, cutoff: int, zpows=None) -> GradedVector:
+def _apply_field(v: GradedVector, z, state: GradedVector, cutoff: int, zpows=None) -> GradedVector:
     """sum_n z^{-n-1} Y(v)_n state, keeping output grades <= cutoff.
 
-    ``zpows`` maps an exponent e to z^e, as an ``int`` or ``Fraction`` where
-    z is rational; calls with the same z may share it."""
+    ``zpows`` maps an exponent e to the stored value z^e; calls with the
+    same z may share it."""
     module = state.space
     alg = module.algebra
     if zpows is None:
         zpows = {}
-    if z.is_rational():
-        z = z.to_fraction()
+    z = stored(z)
     acc = {}
     for vm, vc in v.terms.items():
         wtv = alg.weight(vm)
@@ -394,8 +382,7 @@ def _apply_field(v: GradedVector, z: Scalar, state: GradedVector, cutoff: int, z
                     continue
                 zn = zpows.get(-n - 1)
                 if zn is None:
-                    zn = z ** (-n - 1)
-                    zn = zpows[-n - 1] = zn.numerator if type(zn) is Fraction and zn.denominator == 1 else zn
+                    zn = zpows[-n - 1] = exact_pow(z, -n - 1)
                 zf = zn * vs
                 for m, c in res.items():
                     if m in acc:
@@ -406,7 +393,7 @@ def _apply_field(v: GradedVector, z: Scalar, state: GradedVector, cutoff: int, z
 
 
 def radially_ordered(zs) -> bool:
-    mags = [abs(Fraction(z.to_fraction() if isinstance(z, Scalar) else z)) for z in zs]
+    mags = [abs(Fraction(stored(z))) for z in zs]
     return all(a < b for a, b in zip(mags, mags[1:]))
 
 
@@ -419,8 +406,8 @@ def propagate_eval(vs, zs, w: GradedVector, wp: GradedVector, cutoff: int, keep=
     """
     if len(vs) != len(zs):
         raise ValueError("insertion vectors and points must match up")
-    zs = [z if isinstance(z, Scalar) else Scalar._coerce(z) for z in zs]
-    if any(z.is_zero() for z in zs):
+    zs = [stored(z) for z in zs]
+    if not all(zs):
         raise ValueError("insertion points must avoid the origin")
     if not radially_ordered(zs):
         raise ValueError("insertion points violate radial ordering")
@@ -438,7 +425,7 @@ def propagate_eval(vs, zs, w: GradedVector, wp: GradedVector, cutoff: int, keep=
     for g, part in sorted(state.weight_components().items()):
         acted = _apply_field(vs[-1], zs[-1], part, cutoff, zpows)
         shells.append((g, dual_pairing(acted, wp)))
-    total = sum((s for _, s in shells), S0)
+    total = Scalar._coerce(sum(s for _, s in shells))
     return PropagationResult(total, shells, _tail_estimate(shells, keep), len(vs) <= 1)
 
 
@@ -505,8 +492,8 @@ def permutation_check(vs, zs, w, wp, cutoff=None, tol=None) -> bool:
     re-sorting; on the oracle path (cutoff None) the comparison is exact,
     on the series path it holds to the given tail tolerance.
     """
-    zs = [z if isinstance(z, Scalar) else Scalar._coerce(z) for z in zs]
-    order = sorted(range(len(zs)), key=lambda i: abs(zs[i].to_fraction()))
+    zs = [stored(z) for z in zs]
+    order = sorted(range(len(zs)), key=lambda i: abs(Fraction(zs[i])))
     vs_sorted = [vs[i] for i in order]
     zs_sorted = [zs[i] for i in order]
     if cutoff is None:
@@ -516,7 +503,7 @@ def permutation_check(vs, zs, w, wp, cutoff=None, tol=None) -> bool:
         val_b = expr_b.evaluate({i: z for i, z in enumerate(zs_sorted)})
         return (val_a - val_b).is_zero()
     res = propagate_eval(vs_sorted, zs_sorted, w, wp, cutoff)
-    oracle = heisenberg_correlator(vs, w, wp).evaluate({i: z for i, z in enumerate(zs)})
+    oracle = heisenberg_correlator(vs, w, wp).evaluate(dict(enumerate(zs)))
     return abs(res.value.to_complex() - oracle.to_complex()) <= (tol or 1e-8)
 
 
@@ -546,14 +533,14 @@ def global_form_basis(points, bound: int):
     for x in finite:
         lo = 1 if has_inf else 2
         for m in range(lo, bound + 1):
-            forms.append([(("pole", x, m), S1)])
+            forms.append([(("pole", x, m), 1)])
     if has_inf:
         for p in range(0, bound - 1):
-            forms.append([(("poly", p), S1)])
+            forms.append([(("poly", p), 1)])
     else:
         x0 = finite[0]
         for x in finite[1:]:
-            forms.append([(("pole", x, 1), S1), (("pole", x0, 1), -S1)])
+            forms.append([(("pole", x, 1), 1), (("pole", x0, 1), -1)])
     return forms
 
 
@@ -565,7 +552,7 @@ def residue_criterion(points, series_data, pole_bound: int, dual_pole_bound: int
     j-th marked point, a FracLaurent in the local coordinate there, known at
     least through exponent dual_pole_bound - 1 and with valuation >= -pole_bound.
     """
-    _check_marked_points(points)
+    points = _stored_points(points, series_data)
     ncomp = len(series_data[0])
     for j, comps in enumerate(series_data):
         for s in comps:
@@ -580,7 +567,7 @@ def residue_criterion(points, series_data, pole_bound: int, dual_pole_bound: int
     forms = global_form_basis(points, dual_pole_bound)
     for form in forms:
         for u in range(ncomp):
-            total = S0
+            total = 0
             for j, x in enumerate(points):
                 s = series_data[j][u]
                 if s.is_zero():
@@ -588,8 +575,8 @@ def residue_criterion(points, series_data, pole_bound: int, dual_pole_bound: int
                 f = FracLaurent.zero("z", 1)
                 for atom, coef in form:
                     f = f + _form_atom_expansion(atom, x, pole_bound + dual_pole_bound).scale(coef)
-                total = total + (s.rename("z") * f).residue()
-            if not total.is_zero():
+                total = total + (s.rename("z") * f).stored_coeff(-1)
+            if total:
                 return False
     return True
 
@@ -602,7 +589,7 @@ class GlobalSection:
         self.points = points
         self.pole_bound = pole_bound
         self.atoms = atom_basis
-        self.coeffs = coeffs  # per component: list of Scalars over atoms
+        self.coeffs = coeffs  # per component: list of stored values over atoms
 
     def expand_at(self, j: int, order: int):
         """Local expansions [per component] at the j-th marked point."""
@@ -611,60 +598,50 @@ class GlobalSection:
         for comp in self.coeffs:
             total = FracLaurent.zero("z", 1, trunc=order)
             for atom, c in zip(self.atoms, comp):
-                if c.is_zero():
-                    continue
-                total = total + _section_atom_expansion(atom, x, order).scale(c)
+                if c:
+                    total = total + _section_atom_expansion(atom, x, order).scale(c)
             out.append(total.truncate(order))
         return out
 
     def evaluate(self, zeta) -> list:
-        zeta = zeta if isinstance(zeta, Scalar) else Scalar._coerce(zeta)
+        """The value of each component at zeta, as Scalars."""
+        zeta = stored(zeta)
         out = []
         for comp in self.coeffs:
-            val = S0
+            val = 0
             for atom, c in zip(self.atoms, comp):
-                if c.is_zero():
+                if not c:
                     continue
                 if atom[0] == "pole":
                     _, x, m = atom
-                    base = zeta - (x if isinstance(x, Scalar) else Scalar._coerce(x))
-                    val = val + c * base ** (-m)
+                    val = val + c * exact_pow(zeta - x, -m)
                 else:
                     val = val + c * zeta ** atom[1]
-            out.append(val)
+            out.append(Scalar._coerce(val))
         return out
 
 
 def _section_atom_expansion(atom, point, order) -> FracLaurent:
-    # Expansion of a section atom (function, not 1-form) at a marked point.
+    # Expansion of a section atom (function, not 1-form) at a marked point;
+    # the points are stored values (see _stored_points).
     kind = atom[0]
     if point is not INF:
-        xj = point if isinstance(point, Scalar) else Scalar._coerce(point)
         if kind == "pole":
             _, x, m = atom
-            x = x if isinstance(x, Scalar) else Scalar._coerce(x)
-            base = xj - x
-            if base.is_zero():
-                return FracLaurent("z", 1, {Fraction(-m): S1})
-            terms = {}
-            for t in range(order + m + 1):
-                terms[Fraction(t)] = Scalar.from_fraction(Fraction(binomial(-m, t))) * base ** (-m - t)
+            base = point - x
+            if not base:
+                return FracLaurent("z", 1, {-m: 1})
+            terms = {t: binomial(-m, t) * exact_pow(base, -m - t) for t in range(order + m + 1)}
             return FracLaurent("z", 1, terms, order + m + 1)
         _, p = atom
-        terms = {}
-        for t in range(p + 1):
-            terms[Fraction(t)] = Scalar.from_fraction(Fraction(binomial(p, t))) * xj ** (p - t)
-        return FracLaurent("z", 1, terms)
+        return FracLaurent("z", 1, {t: binomial(p, t) * point ** (p - t) for t in range(p + 1)})
     if kind == "pole":
         _, x, m = atom
-        x = x if isinstance(x, Scalar) else Scalar._coerce(x)
         # (1/z - x)^(-m) = z^m (1 - x z)^(-m)
-        terms = {}
-        for t in range(order + 3):
-            terms[Fraction(m + t)] = Scalar.from_fraction(Fraction(binomial(-m, t))) * (-x) ** t
+        terms = {m + t: binomial(-m, t) * (-x) ** t for t in range(order + 3)}
         return FracLaurent("z", 1, terms, order + m + 1)
     _, p = atom
-    return FracLaurent("z", 1, {Fraction(-p): S1})
+    return FracLaurent("z", 1, {-p: 1})
 
 
 def section_atom_basis(points, pole_bound: int):
@@ -684,7 +661,7 @@ def reconstruct_global(points, series_data, pole_bound: int):
     """The unique global rational section matching all the expansions, or
     None when no such section exists (the residue criterion then fails).
     ValueError when the expansions fit more than one section."""
-    _check_marked_points(points)
+    points = _stored_points(points, series_data)
     atoms = section_atom_basis(points, pole_bound)
     ncomp = len(series_data[0])
     all_coeffs = []
@@ -698,10 +675,10 @@ def reconstruct_global(points, series_data, pole_bound: int):
             cols = [_section_atom_expansion(atom, x, int(hi) + 1) for atom in atoms]
             e = Fraction(-pole_bound)
             while e < hi:
-                rows.append([col.terms.get(e, S0) for col in cols])
-                rhs.append(s.terms.get(e, S0))
+                rows.append([col.terms.get(e, 0) for col in cols])
+                rhs.append(s.terms.get(e, 0))
                 e += 1
-        sol = linalg.solve(rows, rhs)
+        sol = linalg.solve(rows, rhs, len(atoms))
         if sol is None:
             return None
         if not sol[1]:

@@ -42,9 +42,6 @@ from .voa import (
     tensor_vector,
 )
 
-S0 = Scalar.integer(0)
-
-
 class ConfigError(ValueError):
     def __init__(self, path, message):
         super().__init__(f"config error at {path}: {message}")
@@ -71,7 +68,7 @@ def _json_list(value, path):
 
 
 def _scalar_json(value, mode: str):
-    scalar = Scalar._coerce(value)  # a vector coefficient may be an int or Fraction
+    scalar = Scalar._coerce(value)  # a stored value may be an int or Fraction
     if mode == "float":
         z = scalar.to_complex()
         return {"float": [z.real, z.imag]}
@@ -172,7 +169,7 @@ def _vector_from_json(space, data, path):
             except ValueError as exc:
                 raise ConfigError(f"{path}[{i}].coeff", str(exc))
         else:
-            coef = Scalar.from_fraction(_parse_rational(coef, f"{path}[{i}].coeff"))
+            coef = _parse_rational(coef, f"{path}[{i}].coeff")
         total = total + term.scale(coef)
     return total
 
@@ -182,10 +179,10 @@ def _vector_from_json(space, data, path):
 
 
 def _run_uc_solve(cfg: RunConfig):
-    taylor = cfg.params.get("taylor")
-    if not taylor:
+    if not cfg.params.get("taylor"):
         raise ConfigError("params.taylor", "missing Taylor coefficient list")
-    values = [Scalar.from_fraction(_parse_rational(t, f"params.taylor[{i}]")) for i, t in enumerate(taylor)]
+    taylor = _json_list(cfg.params["taylor"], "params.taylor")
+    values = [_parse_rational(t, f"params.taylor[{i}]") for i, t in enumerate(taylor)]
     rho = solve_coefficients(values)
     lines = [f"c0\t{_fmt(rho.c0, cfg.mode)}"]
     for n in range(1, len(values)):
@@ -200,7 +197,7 @@ def _algebra_and_module(cfg):
         raise ConfigError("algebra.kind", "only the Heisenberg algebra is wired to the CLI")
     alg = HeisenbergAlgebra(cutoff=L)
     momentum = _parse_rational(cfg.algebra.get("momentum", 0), "algebra.momentum")
-    W = FockModule(alg, Scalar.from_fraction(momentum))
+    W = FockModule(alg, momentum)
     return alg, W
 
 
@@ -211,24 +208,24 @@ def _run_propagate(cfg: RunConfig):
         _vector_from_json(alg, vj, f"params.insertions[{i}]")
         for i, vj in enumerate(_json_list(cfg.params.get("insertions", []), "params.insertions"))
     ]
-    zs = [Scalar.from_fraction(_parse_rational(p, f"points[{i}]")) for i, p in enumerate(cfg.points)]
+    zs = [_parse_rational(p, f"points[{i}]") for i, p in enumerate(cfg.points)]
     if len(vs) != len(zs):
         raise ConfigError("points", "insertions and points must match up")
     w = _vector_from_json(W, cfg.params.get("w", [{"monomial": []}]), "params.w")
     wp = _vector_from_json(Wd, cfg.params.get("wp", [{"monomial": []}]), "params.wp")
     res = propagate_eval(vs, zs, w, wp, cfg.cutoffs["L"])
     lines = ["grade_cutoff\tpartial_sum_re\tpartial_sum_im\ttail_estimate"]
-    acc = S0
+    acc = 0
     for g, s in res.shells:
         acc = acc + s
-        z = acc.to_complex()
+        z = complex(acc)
         lines.append(f"{g}\t{z.real!r}\t{z.imag!r}\t{res.tail_estimate!r}")
     if cfg.mode == "exact":
         lines.append(f"# exact partial sum\t{res.value}")
     oracle = heisenberg_correlator(vs, w, wp).evaluate(dict(enumerate(zs)))
     lines.append(f"# oracle value\t{_fmt(oracle, cfg.mode)}")
     status = 0
-    if res.exact and not (res.value - oracle).is_zero():
+    if res.exact and res.value != oracle:
         status = 1
     return status, lines
 
@@ -244,7 +241,7 @@ def _series_from_json(obj, path):
         if not isinstance(item, list) or len(item) != 3:
             raise ConfigError(f"{path}.terms[{i}]", "must be [num, den, coeff]")
         e = _parse_rational(item[:2], f"{path}.terms[{i}]")
-        terms[e] = Scalar.from_fraction(_parse_rational(item[2], f"{path}.terms[{i}]"))
+        terms[e] = _parse_rational(item[2], f"{path}.terms[{i}]")
     trunc = obj.get("trunc")
     return FracLaurent("z", k, terms, None if trunc is None else _parse_rational(trunc, f"{path}.trunc"))
 
@@ -269,6 +266,8 @@ def _run_residue_check(cfg: RunConfig):
             INF if x == "inf" else _parse_rational(x, "params.marked")
             for x in _json_list(cfg.params["marked"], "params.marked")
         ]
+        if not marked:
+            raise ConfigError("params.marked", "needs at least one marked point")
         series = _json_list(cfg.params.get("series"), "params.series")
         if len(series) != len(marked):
             raise ConfigError("params.series", "needs one list of components per marked point")
@@ -276,6 +275,8 @@ def _run_residue_check(cfg: RunConfig):
             [_series_from_json(comp, f"params.series[{j}]") for comp in _json_list(comps, f"params.series[{j}]")]
             for j, comps in enumerate(series)
         ]
+        if len({len(comps) for comps in data}) != 1:
+            raise ConfigError("params.series", "every marked point needs the same number of components")
         cases = [("input", marked, data, cfg.params.get("expect", True))]
     else:
         cases = _residue_fixtures()
@@ -292,10 +293,10 @@ def _run_residue_check(cfg: RunConfig):
                 extra = "\tcriterion passed but reconstruction failed"
             else:
                 round_trip = all(
-                    sec.expand_at(j, int(data[j][u].trunc or 6))[u]
-                    == data[j][u].truncate(int(data[j][u].trunc or 6))
-                    for j in range(len(marked))
-                    for u in range(len(data[j]))
+                    sec.expand_at(j, order)[u] == s.truncate(order)
+                    for j, comps in enumerate(data)
+                    for u, s in enumerate(comps)
+                    for order in [6 if s.trunc is None else int(s.trunc)]
                 )
                 if not round_trip:
                     verdict = "FAIL"
@@ -317,15 +318,15 @@ def _run_sew(cfg: RunConfig):
     if "wp" in cfg.params:
         wp = _vector_from_json(Wd, cfg.params["wp"], "params.wp")
     else:
-        wp = GradedVector(Wd, {m: Scalar.integer(1) for g in range(N + 1) for m in Wd.basis(g)})
+        wp = GradedVector(Wd, {m: 1 for g in range(N + 1) for m in Wd.basis(g)})
     L = cfg.cutoffs["L"]
-    field_at_1 = _apply_field(u, Scalar.integer(1), w, L)
+    field_at_1 = _apply_field(u, 1, w, L)
 
     def block(m, md):
         # pairing block times the one-point sphere block at 1 (Example-lb9 shape)
         total = dual_pairing(m, wp)
         if total.is_zero():
-            return S0
+            return 0
         if md.max_weight() > L:  # the field was kept only up to grade L
             raise CutoffOverflow(md.max_weight(), L)
         return total * dual_pairing(field_at_1, md)
@@ -347,8 +348,8 @@ def _run_commute_check(cfg: RunConfig):
 
     vs_a = [_vector_from_json(alg, v, "params.insertions_a") for v in listed("insertions_a")]
     vs_b = [_vector_from_json(alg, v, "params.insertions_b") for v in listed("insertions_b")]
-    za = [Scalar.from_fraction(_parse_rational(x, "params.points_a")) for x in listed("points_a")]
-    zb = [Scalar.from_fraction(_parse_rational(x, "params.points_b")) for x in listed("points_b")]
+    za = [_parse_rational(x, "params.points_a") for x in listed("points_a")]
+    zb = [_parse_rational(x, "params.points_b") for x in listed("points_b")]
     w = _vector_from_json(W, p.get("w", [{"monomial": []}]), "params.w")
     wp = _vector_from_json(Wd, p.get("wp", [{"monomial": []}]), "params.wp")
     ok, disc, lhs, rhs = sew_propagate_commute_check(

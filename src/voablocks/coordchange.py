@@ -10,39 +10,36 @@ to that order).  Its action on a graded vector is
     c0^{L0} * exp( sum_{n>0} c_n L_n ),
 
 a finite sum on each homogeneous piece because L_n strictly lowers weight.
-Coefficients may be Scalars or formal Laurent monomials/series in an
-auxiliary parameter (as needed by the k-th-root chart changes), in which
-case c0 must stay invertible in that ring.
+Coefficients are stored values (``scalars.stored``) or formal Laurent
+monomials/series in an auxiliary parameter (as needed by the k-th-root chart
+changes), in which case c0 must stay invertible in that ring.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Scalar, binomial
+from .scalars import binomial, exact_pow, reciprocal, stored
 from .series import FracLaurent
 from .voa import GradedVector, virasoro_mode
-
-S0 = Scalar.integer(0)
-S1 = Scalar.integer(1)
 
 
 class CoordChange:
     __slots__ = ("c0", "cs")
 
     def __init__(self, c0, cs=()):
-        c0 = c0 if isinstance(c0, (Scalar, FracLaurent)) else Scalar._coerce(c0)
-        if c0.is_zero():
+        c0 = stored(c0)
+        if not c0:
             raise ValueError("c0 = rho'(0) must be nonzero")
         self.c0 = c0
-        cs = [c if isinstance(c, (Scalar, FracLaurent)) else Scalar._coerce(c) for c in cs]
-        while cs and cs[-1].is_zero():
+        cs = [stored(c) for c in cs]
+        while cs and not cs[-1]:
             cs.pop()
         self.cs = tuple(cs)
 
     @staticmethod
     def identity() -> "CoordChange":
-        return CoordChange(S1)
+        return CoordChange(1)
 
     @staticmethod
     def dilation(a) -> "CoordChange":
@@ -51,7 +48,7 @@ class CoordChange:
     def coefficient(self, n: int):
         if n == 0:
             return self.c0
-        return self.cs[n - 1] if n - 1 < len(self.cs) else S0
+        return self.cs[n - 1] if n - 1 < len(self.cs) else 0
 
     def __eq__(self, other):
         if not isinstance(other, CoordChange):
@@ -71,7 +68,7 @@ def _flow_derivation(cs, poly):
     out = {}
     for m, coef in poly.items():
         for n, cn in enumerate(cs, start=1):
-            if cn.is_zero():
+            if not cn:
                 continue
             d = m + n
             term = cn * coef * m
@@ -84,8 +81,8 @@ def _flow_derivation(cs, poly):
 
 def taylor_coefficients(rho: CoordChange, order: int):
     """Taylor coefficients [a1, ..., a_order] of rho(z) around 0."""
-    poly = {1: S1}
-    total = {1: S1}
+    poly = {1: 1}
+    total = {1: 1}
     j = 1
     while poly:
         poly = _flow_derivation(rho.cs, poly)
@@ -94,7 +91,7 @@ def taylor_coefficients(rho: CoordChange, order: int):
         for m, c in poly.items():
             total[m] = total[m] + c if m in total else c
         j += 1
-    return [rho.c0 * total.get(m, S0) for m in range(1, order + 1)]
+    return [stored(rho.c0 * total.get(m, 0)) for m in range(1, order + 1)]
 
 
 def solve_coefficients(taylor) -> CoordChange:
@@ -103,14 +100,14 @@ def solve_coefficients(taylor) -> CoordChange:
     Order-by-order elimination: at order z^{n+1} the unknown c_n enters
     linearly with coefficient c0, all lower orders being already matched.
     """
-    taylor = [a if isinstance(a, (Scalar, FracLaurent)) else Scalar._coerce(a) for a in taylor]
-    if not taylor or taylor[0].is_zero():
+    taylor = [stored(a) for a in taylor]
+    if not taylor or not taylor[0]:
         raise ValueError("a1 = rho'(0) must be nonzero; not a coordinate")
     c0 = taylor[0]
-    c0_inv = c0.inverse()
+    c0_inv = reciprocal(c0)
     cs = []
     for n in range(1, len(taylor)):
-        approx = taylor_coefficients(CoordChange(c0, cs + [S0]), n + 1)
+        approx = taylor_coefficients(CoordChange(c0, cs + [0]), n + 1)
         cs.append((taylor[n] - approx[n]) * c0_inv)
     return CoordChange(c0, cs)
 
@@ -147,7 +144,7 @@ def chart_transition(eta: FracLaurent, mu: FracLaurent, p, order: int) -> CoordC
     eta - eta(p) at the point p, i.e. the unique rho with
     eta - eta(p) = rho(mu - mu(p)) near p.
     """
-    p = p if isinstance(p, Scalar) else Scalar._coerce(p)
+    p = stored(p)
 
     def local(f):
         # f(p + t) - f(p) as a series in t
@@ -156,8 +153,8 @@ def chart_transition(eta: FracLaurent, mu: FracLaurent, p, order: int) -> CoordC
             if e.denominator != 1 or e < 0:
                 raise ValueError("chart functions must be polynomials")
             for m in range(1, int(e) + 1):
-                term = c * Scalar.integer(binomial(e, m)) * p ** (int(e) - m)
-                shifted[Fraction(m)] = shifted.get(Fraction(m), S0) + term
+                term = c * binomial(e, m) * p ** (int(e) - m)
+                shifted[Fraction(m)] = shifted.get(Fraction(m), 0) + term
         return FracLaurent("t", 1, shifted)
 
     te = local(eta).truncate(order + 1)
@@ -172,22 +169,16 @@ def kth_root_shift(k: int, order: int, s="s") -> CoordChange:
     coefficient at t^m is C(1/k, m) s^(1-mk).
 
     ``s`` may be a variable name (giving exact Laurent-monomial coefficients)
-    or an explicit Scalar/FracLaurent value of the point.
+    or an explicit scalar or FracLaurent value of the point.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if isinstance(s, str):
-        base = FracLaurent.variable(s)
-    elif isinstance(s, (Scalar, FracLaurent)):
-        base = s
-    else:
-        base = Scalar._coerce(s)
+    base = FracLaurent.variable(s) if isinstance(s, str) else stored(s)
     taylor = []
     for m in range(1, order + 1):
-        b = binomial(Fraction(1, k), m)
-        coef = base ** (1 - m * k) * Scalar.from_fraction(b)
+        coef = exact_pow(base, 1 - m * k) * binomial(Fraction(1, k), m)
         if isinstance(coef, FracLaurent) and set(coef.terms) <= {Fraction(0)} and coef.trunc is None:
-            coef = coef.terms.get(Fraction(0), S0)  # k = 1: the exponent drops out
+            coef = coef.terms.get(Fraction(0), 0)  # k = 1: the exponent drops out
         taylor.append(coef)
     return solve_coefficients(taylor)
 
@@ -207,7 +198,7 @@ def apply_coord_change(rho: CoordChange, w: GradedVector) -> GradedVector:
         while not summand.is_zero():
             step = GradedVector(w.space)
             for n, cn in enumerate(rho.cs, start=1):
-                if cn.is_zero():
+                if not cn:
                     continue
                 ln = virasoro_mode(n, summand)
                 if not ln.is_zero():

@@ -1,37 +1,35 @@
-"""Tiny dense exact linear algebra over the Scalar field."""
+"""Tiny dense exact linear algebra over the stored values of
+``scalars.stored``: rationals and cyclotomic field elements."""
 
 from __future__ import annotations
 
-from .scalars import Scalar
-
-S0 = Scalar.integer(0)
-S1 = Scalar.integer(1)
+from .scalars import reciprocal, stored
 
 
-def solve(rows, rhs):
-    """Solve an (overdetermined) exact linear system.
+def solve(rows, rhs, cols: int):
+    """Solve an (overdetermined) exact linear system in ``cols`` unknowns.
 
     Returns (solution, unique) on success with free variables set to zero,
-    or None when the system is inconsistent.
+    or None when the system is inconsistent; no equations leave every
+    unknown free.  The solution holds stored values.
     """
     m = len(rows)
-    cols = len(rows[0]) if m else 0
-    a = [list(r) + [b] for r, b in zip(rows, rhs)]
+    a = [[stored(x) for x in r] + [stored(b)] for r, b in zip(rows, rhs)]
     pivots = []
     row = 0
     for col in range(cols):
         piv = None
         for r in range(row, m):
-            if not a[r][col].is_zero():
+            if a[r][col]:
                 piv = r
                 break
         if piv is None:
             continue
         a[row], a[piv] = a[piv], a[row]
-        inv = a[row][col].inverse()
+        inv = reciprocal(a[row][col])
         a[row] = [x * inv for x in a[row]]
         for r in range(m):
-            if r != row and not a[r][col].is_zero():
+            if r != row and a[r][col]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[row])]
         pivots.append(col)
@@ -39,11 +37,11 @@ def solve(rows, rhs):
         if row == m:
             break
     for r in range(row, m):
-        if not a[r][cols].is_zero():
+        if a[r][cols]:
             return None
-    x = [S0] * cols
+    x = [0] * cols
     for r, col in enumerate(pivots):
-        x[col] = a[r][cols]
+        x[col] = stored(a[r][cols])
     return x, len(pivots) == cols
 
 
@@ -52,8 +50,8 @@ def invert(matrix):
     n = len(matrix)
     cols = []
     for j in range(n):
-        rhs = [S1 if i == j else S0 for i in range(n)]
-        sol = solve(matrix, rhs)
+        rhs = [1 if i == j else 0 for i in range(n)]
+        sol = solve(matrix, rhs, n)
         if sol is None or not sol[1]:
             return None
         cols.append(sol[0])

@@ -12,9 +12,13 @@ Arithmetic between a rational and a cyclotomic promotes to cyclotomic;
 between cyclotomics of different k it raises (use ``embed`` explicitly).
 A cyclotomic result whose vector is purely rational demotes back to the
 rational variant, so equality and hashing are canonical.  ``to_complex``
-gives the float value of either variant.  Inner loops over rational data
-(mode tables, graded-vector coefficients) compute in plain ``int``/``Fraction``
-instead, and Python's mixed arithmetic carries a cyclotomic Scalar along.
+gives the float value of either variant.
+
+Containers (vectors, mode tables, series, rational expressions, coordinate
+changes, linear systems) keep every exact coefficient in the one form that
+``stored`` decides, and code between them multiplies stored values directly;
+``reciprocal`` and ``exact_pow`` keep inverses and powers of an ``int``
+exact.  Scalars are built for callers, at the public boundary.
 """
 
 from __future__ import annotations
@@ -178,6 +182,9 @@ class Scalar:
         # a zero cyclotomic vector demotes to the rational 0
         return self._rat is not None and self._rat == 0
 
+    def __bool__(self):
+        return not self.is_zero()
+
     # ---- coercion helpers ---------------------------------------------
 
     @staticmethod
@@ -215,6 +222,8 @@ class Scalar:
             return complex(self._rat)
         w = cmath.exp(-2j * math.pi / self._k)
         return sum(complex(c) * w**i for i, c in enumerate(self._vec))
+
+    __complex__ = to_complex
 
     def embed(self, k: int) -> "Scalar":
         """Embed a rational, or a cyclotomic of order dividing k, into Q(w_k)."""
@@ -380,6 +389,41 @@ def _json_fraction(pair) -> Fraction:
     if not (isinstance(p, int) and isinstance(q, int)):
         raise TypeError("rational coordinates must be integer pairs")
     return Fraction(p, q)
+
+
+def stored(c):
+    """The stored form of an exact coefficient: an ``int`` when integral, a
+    ``Fraction`` when rational, a Scalar only when cyclotomic, so each value
+    has one type and one hash, and a stored value is zero exactly when it is
+    falsy.  A FracLaurent (a formal parameter riding along) passes unchanged;
+    anything else raises TypeError."""
+    t = type(c)
+    if t is int:
+        return c
+    if t is Scalar:
+        if c._rat is None:
+            return c
+        c = c._rat
+    elif t is not Fraction:
+        from .series import FracLaurent  # imported here: series imports this module
+
+        if isinstance(c, FracLaurent):
+            return c
+        raise TypeError(f"cannot store {t.__name__} as an exact coefficient")
+    return c.numerator if c.denominator == 1 else c
+
+
+def reciprocal(c):
+    """1/c of a stored value, stored: a rational through Fraction (int / int
+    is a float), a cyclotomic Scalar or a series by its own inverse."""
+    if type(c) is int or type(c) is Fraction:
+        return stored(Fraction(1) / c)
+    return c.inverse()
+
+
+def exact_pow(x, e: int):
+    """x**e of a stored value for any integer e, stored (int ** -1 is a float)."""
+    return stored(Fraction(x) ** e if type(x) is int else x**e)
 
 
 def binomial(r, m: int):

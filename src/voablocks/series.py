@@ -1,18 +1,20 @@
 """Formal Laurent series with exponents on a fractional lattice (1/k)Z.
 
-A FracLaurent stores finitely many terms ``exponent -> Scalar`` where every
+A FracLaurent stores finitely many terms ``exponent -> coefficient``: every
 exponent is an exact rational whose denominator divides the lattice constant
-``k``.  An optional truncation order marks the first unknown exponent: terms
-at exponents >= trunc are not stored and must not be asked for.  Operations
-propagate the tightest truncation they can justify and raise TruncationError
-rather than silently zero-filling.
+``k``, every coefficient a value in the form ``scalars.stored`` gives (an
+``int``, ``Fraction`` or cyclotomic Scalar); ``coeff``, ``residue`` and
+``evaluate`` hand out Scalars.  An optional truncation order marks the first
+unknown exponent: terms at exponents >= trunc are not stored and must not be
+asked for.  Operations propagate the tightest truncation they can justify and
+raise TruncationError rather than silently zero-filling.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Scalar, binomial
+from .scalars import Scalar, binomial, exact_pow, reciprocal, stored
 
 
 class TruncationError(ArithmeticError):
@@ -47,8 +49,8 @@ class FracLaurent:
                 raise ValueError(f"exponent {e} not on the (1/{k})Z lattice")
             if self.trunc is not None and e >= self.trunc:
                 continue
-            c = c if isinstance(c, Scalar) else Scalar._coerce(c)
-            if not c.is_zero():
+            c = stored(c)
+            if c:
                 clean[e] = c
         self.terms = clean
 
@@ -60,14 +62,14 @@ class FracLaurent:
 
     @staticmethod
     def one(var: str, k: int = 1) -> "FracLaurent":
-        return FracLaurent(var, k, {Fraction(0): Scalar.integer(1)})
+        return FracLaurent(var, k, {Fraction(0): 1})
 
     @staticmethod
     def monomial(var: str, exp, coef=1, k: int = None) -> "FracLaurent":
         exp = Fraction(exp)
         if k is None:
             k = exp.denominator
-        return FracLaurent(var, k, {exp: Scalar._coerce(coef) if not isinstance(coef, Scalar) else coef})
+        return FracLaurent(var, k, {exp: coef})
 
     @staticmethod
     def variable(var: str, k: int = 1) -> "FracLaurent":
@@ -78,6 +80,9 @@ class FracLaurent:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def valuation(self):
         """Lowest stored exponent; None for the (exact) zero series."""
         return min(self.terms) if self.terms else None
@@ -86,12 +91,16 @@ class FracLaurent:
         return max(self.terms) if self.terms else None
 
     def coeff(self, exp) -> Scalar:
+        return Scalar._coerce(self.stored_coeff(exp))
+
+    def stored_coeff(self, exp):
+        """The coefficient at x^exp as stored (0 where none is)."""
         exp = Fraction(exp)
         if self.trunc is not None and exp >= self.trunc:
             raise TruncationError(
                 f"coefficient at {self.var}^{exp} is beyond truncation order {self.trunc}"
             )
-        return self.terms.get(exp, Scalar.integer(0))
+        return self.terms.get(exp, 0)
 
     def sorted_terms(self):
         return sorted(self.terms.items())
@@ -149,8 +158,8 @@ class FracLaurent:
         return (-self) + other
 
     def scale(self, c) -> "FracLaurent":
-        c = c if isinstance(c, Scalar) else Scalar._coerce(c)
-        if c.is_zero():
+        c = stored(c)
+        if not c:
             return FracLaurent(self.var, self.k, {}, self.trunc)
         return FracLaurent(self.var, self.k, {e: x * c for e, x in self.terms.items()}, self.trunc)
 
@@ -201,9 +210,9 @@ class FracLaurent:
         v = self.valuation()
         if v is None:
             raise ZeroDivisionError("inverting the zero series")
-        lead = self.terms[v]
+        linv = reciprocal(self.terms[v])
         if len(self.terms) == 1:
-            out = FracLaurent(self.var, self.k, {-v: lead.inverse()})
+            out = FracLaurent(self.var, self.k, {-v: linv})
             if self.trunc is None:
                 return out
             known = self.trunc - v
@@ -216,7 +225,6 @@ class FracLaurent:
         if order is not None:
             known = min(known, Fraction(order))
         # u = 1 - self / (lead * x^v); inverse = lead^-1 x^-v * sum u^m
-        linv = lead.inverse()
         rel = FracLaurent(self.var, self.k, {e - v: -(c * linv) for e, c in self.terms.items() if e != v})
         acc = FracLaurent.one(self.var, self.k)
         out = FracLaurent.one(self.var, self.k)
@@ -261,13 +269,13 @@ class FracLaurent:
         """Coefficient of x^-1, the residue of self dx."""
         if self.trunc is not None and self.trunc <= -1:
             raise TruncationError("residue lies beyond the truncation order")
-        return self.terms.get(Fraction(-1), Scalar.integer(0))
+        return Scalar._coerce(self.terms.get(Fraction(-1), 0))
 
     def derivative(self) -> "FracLaurent":
         return FracLaurent(
             self.var,
             self.k,
-            {e - 1: c * Fraction(e) for e, c in self.terms.items() if e != 0},
+            {e - 1: c * e for e, c in self.terms.items() if e != 0},
             None if self.trunc is None else self.trunc - 1,
         )
 
@@ -307,38 +315,39 @@ class FracLaurent:
 
     def reverse(self, order: int) -> "FracLaurent":
         """Compositional inverse g with self(g(x)) = x, to the given order."""
-        if self.coeff(1).is_zero():
+        a1 = self.stored_coeff(1)
+        if not a1:
             raise ValueError("compositional inverse needs a nonzero linear term")
         if self.terms and self.valuation() < 1:
             raise ValueError("compositional inverse needs valuation 1")
-        a1 = self.coeff(1)
-        g = FracLaurent(self.var, self.k, {Fraction(1): a1.inverse()})
+        a1_inv = reciprocal(a1)
+        g = FracLaurent(self.var, self.k, {Fraction(1): a1_inv})
         for m in range(2, order + 1):
-            err = self.compose(g, m + 1).coeff(m)
-            if not err.is_zero():
-                g = g + FracLaurent(self.var, self.k, {Fraction(m): -(err / a1)})
+            err = self.compose(g, m + 1).stored_coeff(m)
+            if err:
+                g = g + FracLaurent(self.var, self.k, {Fraction(m): -(err * a1_inv)})
         return g
 
     # ---- evaluation and expansion helpers ---------------------------------
 
-    def evaluate(self, x: Scalar) -> Scalar:
+    def evaluate(self, x) -> Scalar:
         """Exact evaluation; refuses truncated series (sum their terms explicitly)."""
         if self.trunc is not None:
             raise TruncationError("evaluate called on a truncated series")
-        x = x if isinstance(x, Scalar) else Scalar._coerce(x)
-        total = Scalar.integer(0)
+        x = stored(x)
+        total = 0
         for e, c in self.terms.items():
             if e.denominator != 1:
                 raise ValueError("cannot evaluate fractional exponents without a branch")
-            total = total + c * x ** int(e)
-        return total
+            total = total + c * exact_pow(x, int(e))
+        return Scalar._coerce(total)
 
     def to_json(self):
         return {
             "var": self.var,
             "k": self.k,
             "terms": [
-                [e.numerator, e.denominator, c.to_json()] for e, c in self.sorted_terms()
+                [e.numerator, e.denominator, Scalar._coerce(c).to_json()] for e, c in self.sorted_terms()
             ],
             "trunc": None
             if self.trunc is None
@@ -358,7 +367,7 @@ def binomial_expand(lead_pow, rel: FracLaurent, r: Fraction, order) -> "FracLaur
     """(c + u)^r expanded as lead_pow * sum C(r, m) (u/c)^m for valuation(u) > 0.
 
     ``rel`` must already be u/c (the caller divides by the leading term) and
-    ``lead_pow`` must be the exact value of c^r (Scalar or monomial series).
+    ``lead_pow`` must be the exact value of c^r (a scalar or monomial series).
     """
     r = Fraction(r)
     order = Fraction(order)
@@ -373,7 +382,7 @@ def binomial_expand(lead_pow, rel: FracLaurent, r: Fraction, order) -> "FracLaur
             power = (power * rel).truncate(order)
             if power.is_zero():
                 break
-            out = out + power.scale(Scalar.from_fraction(binomial(r, m)))
+            out = out + power.scale(binomial(r, m))
             m += 1
     out = out.truncate(order)
     if isinstance(lead_pow, FracLaurent):

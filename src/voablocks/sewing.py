@@ -20,12 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .blocks import heisenberg_correlator, propagate_eval
-from .scalars import Scalar
 from .series import FracLaurent
 from .voa import GradedVector, dual_of
-
-S0 = Scalar.integer(0)
-S1 = Scalar.integer(1)
 
 
 class TrivialModule:
@@ -61,15 +57,11 @@ def sew(block_fn, module, q_cutoff: int, qvar: str = "q") -> FracLaurent:
     """sum_{n <= N} q^n sum_a block_fn(m(n,a), m-dual(n,a)).
 
     ``block_fn`` must close over the fixed W-arguments of the block and
-    return an exact Scalar for each Casimir pair.
+    return an exact scalar for each Casimir pair.
     """
     terms = {}
     for g in range(q_cutoff + 1):
-        total = S0
-        for m, md in casimir_shells(module, g):
-            total = total + block_fn(m, md)
-        if not total.is_zero():
-            terms[Fraction(g)] = total
+        terms[g] = sum(block_fn(m, md) for m, md in casimir_shells(module, g))
     return FracLaurent(qvar, 1, terms, trunc=q_cutoff + 1)
 
 
@@ -77,13 +69,13 @@ def converge_diag(series: FracLaurent, q0) -> dict:
     """Numeric diagnostics of a q-series at q0: partial sums, successive
     term ratios, and a Cauchy-Hadamard radius estimate from the last 10
     nonzero coefficients."""
-    q0c = q0.to_complex() if isinstance(q0, Scalar) else complex(q0)
+    q0c = complex(q0)
     coeffs = sorted(series.terms.items())
     partial = []
     acc = 0j
     terms = []
     for e, c in coeffs:
-        t = c.to_complex() * q0c ** float(e)
+        t = complex(c) * q0c ** float(e)
         acc += t
         partial.append(acc)
         terms.append(t)
@@ -92,12 +84,12 @@ def converge_diag(series: FracLaurent, q0) -> dict:
     ]
     top = series.trunc - 1 if series.trunc is not None else (series.degree() or 0)
     window = [
-        (e, c) for e, c in coeffs if e > top - 10 and not c.is_zero() and e > 0
+        (e, c) for e, c in coeffs if e > top - 10 and e > 0
     ]
     if not window:
         radius = float("inf")
     else:
-        rates = [abs(c.to_complex()) ** (1.0 / float(e)) for e, c in window]
+        rates = [abs(complex(c)) ** (1.0 / float(e)) for e, c in window]
         mean = sum(rates) / len(rates)
         radius = float("inf") if mean == 0 else 1.0 / mean
     return {
@@ -130,7 +122,7 @@ def sew_propagate_commute_check(
     def block(m, md):
         a_val = propagate_eval(vs_a, za, w, md, grade_cutoff).value
         if a_val.is_zero():
-            return S0
+            return 0
         return a_val * propagate_eval(vs_b, zb, m, wp, grade_cutoff).value
 
     lhs = sew(block, w.space, q_cutoff, qvar)

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .blocks import _apply_field, heisenberg_correlator
 from .coordchange import apply_coord_change, kth_root_shift
-from .scalars import Scalar
+from .scalars import Scalar, exact_pow, reciprocal, stored
 from .series import FracLaurent, binomial_expand
 from .voa import (
     CutoffOverflow,
@@ -158,18 +158,18 @@ class TwistedModule:
 
     # ---- modes -----------------------------------------------------------
 
-    def matrix_element(self, u: GradedVector, n, w_mono, wp_mono) -> Scalar:
-        n = self.mode_index_lattice(n)
-        series = self.pairing_series(u, w_mono, wp_mono)
-        return series.coeff(-self.k * n - self.k)
+    def _element(self, u, n, w_mono, wp_mono):
+        # <Y^g(u)_n w, w'> as stored, for n on the (1/k)Z lattice
+        return self.pairing_series(u, w_mono, wp_mono).stored_coeff(-self.k * n - self.k)
 
     def full_mode_element(self, u: GradedVector, n, w: GradedVector, wp: GradedVector) -> Scalar:
         """<Y^g(u)_n w, w'> for arbitrary vectors, through the k-point oracle."""
-        total = S0
+        n = self.mode_index_lattice(n)
+        total = 0
         for wm, wc in w.terms.items():
             for pm, pc in wp.terms.items():
-                total = total + self.matrix_element(u, n, wm, pm) * wc * pc
-        return total
+                total = total + self._element(u, n, wm, pm) * wc * pc
+        return Scalar._coerce(total)
 
     def _single_slot(self, mono):
         nz = [(i, m) for i, m in enumerate(mono) if m != ()]
@@ -186,7 +186,7 @@ class TwistedModule:
         n = self.mode_index_lattice(n)
         base = self.tensor.base
         kn = int(self.k * n)
-        phase_base = Scalar.root_of_unity(self.k, slot)
+        phase_base = stored(Scalar.root_of_unity(self.k, slot))
         x = self.slot_corrected(v_mono, slot)
         out = GradedVector(self.module)
         for b, coef in x.terms.items():
@@ -196,7 +196,7 @@ class TwistedModule:
                 m = int(e) + kn + self.k - 1
                 acted = mode_action(bvec, m, w)
                 if not acted.is_zero():
-                    out = out + acted.scale(ce * phase_base ** (-m - 1))
+                    out = out + acted.scale(ce * exact_pow(phase_base, -m - 1))
         return out
 
     def mode_apply(self, u: GradedVector, n, w: GradedVector) -> GradedVector:
@@ -223,8 +223,8 @@ class TwistedModule:
                         raise CutoffOverflow(target, self.module.cutoff)
                     for wm, wc in w_part.terms.items():
                         for out_mono in self.module.basis(target):
-                            val = self.matrix_element(u_part, n, wm, out_mono)
-                            if not val.is_zero():
+                            val = self._element(u_part, n, wm, out_mono)
+                            if val:
                                 out = out + GradedVector.state(self.module, out_mono, val * wc)
         return out
 
@@ -317,13 +317,13 @@ def product_expansion_check(tw: TwistedModule, u: GradedVector, v_slots, w, wp, 
 
     Returns (ok, lhs_series, rhs_series) with both series in kappa."""
     k = tw.k
-    xi = s_xi**k
+    xi = stored(s_xi) ** k
     kv = "x1"
     wt_u = u.homogeneous_weight()
     wt_v1 = v_slots[0].homogeneous_weight()
     depth = wt_u + wt_v1 + w.max_weight() + 2  # deepest possible pole in kappa
     work = order + depth + 4
-    rel = FracLaurent.monomial(kv, 1, xi.inverse())
+    rel = FracLaurent.monomial(kv, 1, reciprocal(xi))
     z1 = binomial_expand(s_xi, rel, Fraction(1, k), work)
     xipts = [Scalar.root_of_unity(k, i) * s_xi for i in range(k)]
     cu = _chart_corrected(k, u, z1)
@@ -339,7 +339,7 @@ def product_expansion_check(tw: TwistedModule, u: GradedVector, v_slots, w, wp, 
         inner = mode_action(u, m, v_slots[0])
         if inner.is_zero():
             continue
-        total = S0
+        total = 0
         composed = tensor_vector(tw.tensor, [inner] + list(v_slots[1:]))
         for wm, wc in w.terms.items():
             for pm, pc in wp.terms.items():
@@ -349,7 +349,7 @@ def product_expansion_check(tw: TwistedModule, u: GradedVector, v_slots, w, wp, 
                         GradedVector(tw.tensor, {mono: 1}), wm, pm
                     ).scale(coef)
                 total = total + series.evaluate(s_xi) * wc * pc
-        if not total.is_zero():
+        if total:
             rhs = rhs + FracLaurent.monomial(kv, -m - 1, total)
     rhs = rhs.truncate(order)
     ok = (lhs - rhs).truncate(order).is_zero()
@@ -418,9 +418,7 @@ def check_equivariance(tw: TwistedModule, vectors, w_monos, wp_monos) -> bool:
                 for e in exps:
                     m = -(int(e) + k)
                     phase = Scalar.root_of_unity(k, -m % k)
-                    lhs = s_gu.terms.get(e, S0)
-                    rhs = phase * s_u.terms.get(e, S0)
-                    if not (lhs - rhs).is_zero():
+                    if s_gu.terms.get(e, 0) != phase * s_u.terms.get(e, 0):
                         return False
     return True
 

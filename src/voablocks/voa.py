@@ -29,12 +29,13 @@ it is computed by PBW straightening and cached only under that mode_mono key.
 All values are immutable and the mode cache is only ever filled with
 deterministic pure results.
 
-Mode tables and vector coefficients hold plain Python rationals: an
-``int``, or a ``Fraction`` where a rational momentum or central charge makes
-a value non-integral.  Only a value that is not rational (a cyclotomic Fock
-momentum) stays a ``Scalar``, and mixed arithmetic carries it through the
-same code.  So the mode-action loops multiply stored values directly; a
-``Scalar`` is built only where a caller asks for one (``dual_pairing``,
+Mode tables, vector coefficients, the Fock momentum and the central charge
+hold the stored form of ``scalars.stored``: an ``int``, or a ``Fraction``
+where a rational momentum or central charge makes a value non-integral.
+Only a value that is not rational (a cyclotomic Fock momentum) stays a
+``Scalar``, and mixed arithmetic carries it through the same code.  So the
+mode-action loops multiply stored values directly; a ``Scalar`` is built
+only where a caller asks for one (``dual_pairing``,
 ``GradedVector.coefficient``).
 """
 
@@ -44,7 +45,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import Scalar, binomial
+from .scalars import Scalar, binomial, stored
 from .series import FracLaurent
 
 class CutoffOverflow(Exception):
@@ -212,7 +213,7 @@ class HeisenbergAlgebra(_GeneratorAlgebra):
     """Rank-1 free boson: [a_m, a_n] = m delta_{m+n,0}, generator a = a_{-1}|0>."""
 
     kind = "heisenberg"
-    momentum = Scalar.integer(0)  # as its own (adjoint) module the zero mode acts by 0
+    momentum = 0  # as its own (adjoint) module the zero mode acts by 0
 
     def conformal_monos(self):
         # c = (1/2) a_{-1} a_{-1} |0>
@@ -226,10 +227,7 @@ class HeisenbergAlgebra(_GeneratorAlgebra):
         if j < 0:
             return {_insert_part(w_mono, -j): 1}
         if j == 0:
-            if momentum.is_zero():
-                return {}
-            p = momentum.to_fraction() if momentum.is_rational() else momentum
-            return {w_mono: p.numerator if type(p) is Fraction and p.denominator == 1 else p}
+            return {w_mono: momentum} if momentum else {}
         mult = w_mono.count(j)
         if mult == 0:
             return {}
@@ -241,7 +239,7 @@ class HeisenbergAlgebra(_GeneratorAlgebra):
 
     def gen_mode_support(self, w_mono, module):
         support = sorted(set(w_mono))
-        if not module.momentum.is_zero():
+        if module.momentum:
             support = [0] + support
         return support
 
@@ -255,8 +253,7 @@ class VirasoroAlgebra(_GeneratorAlgebra):
 
     def __init__(self, central_charge, cutoff: int):
         super().__init__(cutoff)
-        self.central_charge = c = Scalar._coerce(central_charge)
-        self._c = c.to_fraction() if c.is_rational() else c
+        self.central_charge = stored(central_charge)
 
     def conformal_monos(self):
         return {(2,): 1}
@@ -286,7 +283,7 @@ class VirasoroAlgebra(_GeneratorAlgebra):
                 for m2, c2 in self.gen_mode(n - m1 + 1, rest, self).items():
                     _acc(out, m2, c2 * (n + m1))
             if n == m1:
-                central = self._c * Fraction(n**3 - n, 12)
+                central = self.central_charge * Fraction(n**3 - n, 12)
                 if central != 0:
                     _acc(out, rest, central)
             for m2, c2 in self.gen_mode(j, rest, self).items():
@@ -408,8 +405,8 @@ class FockModule:
         if not isinstance(algebra, HeisenbergAlgebra):
             raise ValueError("Fock modules exist over the Heisenberg algebra")
         self.algebra = algebra
-        self.momentum = Scalar._coerce(momentum)
-        # exact and hashed cheaply: str is canonical for a Scalar and caches its hash
+        self.momentum = stored(momentum)
+        # exact and hashed cheaply: str is canonical for a stored value and caches its hash
         self.module_key = ("fock", str(self.momentum))
 
     @property
@@ -420,7 +417,7 @@ class FockModule:
     def grading_offset(self):
         """Conformal weight of the momentum vacuum; the stored grading is the
         depth above it, so eigenvalues sit in N after subtracting this."""
-        return self.momentum * self.momentum * Scalar.rational(1, 2)
+        return Scalar._coerce(self.momentum * self.momentum * Fraction(1, 2))
 
     def vacuum_mono(self):
         return ()
@@ -479,12 +476,12 @@ class DualModule:
 class GradedVector:
     """Finite combination of weighted basis monomials of one space.
 
-    A rational coefficient is stored as an ``int`` (when integral) or a
-    ``Fraction``, a non-rational one as a cyclotomic ``Scalar``, and a
-    FracLaurent series when a formal parameter rides along (e.g.
-    coordinate-change images inside the twisted machinery).  The constructor
-    copies its input, brings every value to that one type and drops zeros,
-    so equal vectors have equal ``terms`` items, hashes included.
+    Coefficients are in the stored form of ``scalars.stored``: an ``int``
+    (when integral), a ``Fraction``, a cyclotomic ``Scalar``, or a FracLaurent
+    series when a formal parameter rides along (e.g. coordinate-change
+    images inside the twisted machinery).  The constructor copies its input,
+    brings every value to that one type and drops zeros, so equal vectors
+    have equal ``terms`` items, hashes included.
     """
 
     __slots__ = ("space", "terms")
@@ -493,20 +490,8 @@ class GradedVector:
         self.space = space
         clean = {}
         for m, c in (terms or {}).items():
-            t = type(c)
-            if t is not int:
-                if isinstance(c, FracLaurent):
-                    if not c.is_zero():
-                        clean[m] = c
-                    continue
-                if t is not Fraction:
-                    c = Scalar._coerce(c)
-                    if not c.is_rational():  # cyclotomic, never zero
-                        clean[m] = c
-                        continue
-                    c = c.to_fraction()
-                if c.denominator == 1:
-                    c = c.numerator
+            if type(c) is not int:
+                c = stored(c)
             if c:
                 clean[m] = c
         self.terms = clean
@@ -545,6 +530,7 @@ class GradedVector:
         return self + (-other)
 
     def scale(self, c):
+        c = stored(c)
         return GradedVector(self.space, {m: x * c for m, x in self.terms.items()})
 
     def __eq__(self, other):

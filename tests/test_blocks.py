@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from support import fock, heis, pair_field, rat, st, vac
+from voablocks import linalg
 from voablocks.blocks import (
     INF,
     heisenberg_correlator,
@@ -222,6 +223,22 @@ def test_reconstruction_refuses_underdetermined_data():
     blank = FracLaurent("z", 1, {}, trunc=-1)
     with pytest.raises(ValueError, match="more than one global section"):
         reconstruct_global([0, INF], [[blank], [blank]], 2)
+    # with pole bound 0 the data give no equation at all for the constant
+    # section's one coefficient; a system without equations leaves it free
+    nothing = FracLaurent("z", 1, {}, trunc=0)
+    with pytest.raises(ValueError, match="more than one global section"):
+        reconstruct_global([0, INF], [[nothing], [nothing]], 0)
+    assert linalg.solve([], [], 2) == ([0, 0], False)
+    assert linalg.solve([], [], 0) == ([], True)
+
+
+def test_residue_data_must_match_the_marked_points():
+    one = _trunc_series({0: 1})
+    for points, data in (([], []), ([0, INF], [[one], [one, one]]), ([0, INF], [[one, one], [one]]), ([0, INF], [[one]])):
+        with pytest.raises(ValueError):
+            residue_criterion(points, data, 2, 4)
+        with pytest.raises(ValueError):
+            reconstruct_global(points, data, 2)
 
 
 def test_insufficient_order_rejected():

@@ -314,6 +314,9 @@ def _propagate_with_w(w):
     return argv_for
 
 
+_ONE = {"terms": [[0, 1, 1]], "trunc": 8}
+
+
 def _negative_index_bound(tmp_path):
     path = tmp_path / "j.json"
     path.write_text(json.dumps({"subcommand": "jacobi-check", "params": {"index_bound": -1}}))
@@ -357,6 +360,11 @@ def _negative_index_bound(tmp_path):
         _params_config("propagate", params={"insertions": 5}),
         _params_config("commute-check", params={"points_a": 5}),
         _params_config("twist-modes", params={"k": [2, 3]}),
+        _params_config("residue-check", params={"marked": [], "series": []}),
+        _params_config("residue-check", params={"marked": ["0", "inf"], "series": [[_ONE], [_ONE, _ONE]]}),
+        _params_config("residue-check", params={"marked": ["0", "inf"], "series": [[_ONE, _ONE], [_ONE]]}),
+        _params_config("uc-solve", params={"taylor": 5}),
+        _params_config("uc-solve", params={"taylor": "12"}),
     ],
     ids=[
         "malformed-json", "degenerate-taylor", "unordered-points", "missing-config", "negative-grade", "zero-k",
@@ -365,7 +373,8 @@ def _negative_index_bound(tmp_path):
         "zero-part-monomial", "float-part-monomial", "huge-cyclotomic-order", "string-threads", "zero-threads",
         "negative-threads", "marked-not-list", "series-not-list", "string-pole-bound", "series-per-point",
         "zero-denominator-exponent", "string-expect", "points-not-list", "insertions-not-list", "commute-points-not-list",
-        "twist-modes-k-list",
+        "twist-modes-k-list", "no-marked-points", "ragged-series-at-infinity", "ragged-series-at-zero",
+        "taylor-not-list", "taylor-string",
     ],
 )
 def test_bad_input_gives_one_line_and_exit_2(argv_for, tmp_path, capsys):
@@ -373,6 +382,28 @@ def test_bad_input_gives_one_line_and_exit_2(argv_for, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+def test_residue_check_names_mismatched_data(tmp_path, capsys):
+    for params, path in (
+        ({"marked": [], "series": []}, "params.marked"),
+        ({"marked": ["0", "inf"], "series": [[_ONE], [_ONE, _ONE]]}, "params.series"),
+    ):
+        assert main(_params_config("residue-check", params=params)(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith(f"config error at {path}:")
+
+
+def test_residue_check_reads_a_zero_truncation_order(tmp_path, capsys):
+    # the expansion at infinity is known to order 0, i.e. not at all; it was
+    # read as order 6 and reported as a re-expansion mismatch
+    params = {
+        "marked": ["0", "inf"],
+        "pole_bound": 0,
+        "dual_pole_bound": 0,
+        "series": [[_ONE], [{"terms": [], "trunc": "0"}]],
+    }
+    assert main(_params_config("residue-check", params=params)(tmp_path)) == 0
+    assert capsys.readouterr().out == "case\tcriterion\tverdict\ninput\ttrue\tpass\n"
 
 
 def test_non_canonical_monomial_names_the_term(tmp_path, capsys):

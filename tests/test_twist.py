@@ -180,6 +180,24 @@ def test_invariant_vectors_have_integral_modes():
                     assert Fraction(n).denominator == 1
 
 
+def test_twisted_zero_mode_on_the_fock_module():
+    # L^g_0 = Y^g(omega)_1 acts as L_0/k + (k^2 - 1)/(24k) for the conformal
+    # vector omega of the tensor power (c = 1)
+    from voablocks.voa import conformal_vector
+
+    expected = {
+        2: [rat(1, 16), rat(9, 16), rat(17, 16), rat(17, 16)],
+        3: [rat(1, 9), rat(4, 9), rat(7, 9), rat(7, 9)],
+    }
+    for k, values in expected.items():
+        tw = TwistedModule(W, k)
+        omega = conformal_vector(tw.tensor)
+        for wm, value in zip(((), (1,), (2,), (1, 1)), values):
+            w = st(W, wm)
+            assert value == Fraction(W.weight(wm), k) + Fraction(k * k - 1, 24 * k)
+            assert tw.mode_apply(omega, 1, w) == w.scale(value), (k, wm)
+
+
 def test_eigencomponents():
     k = 3
     tw = TwistedModule(W, k)

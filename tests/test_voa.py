@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from support import fock, heis, rat, st, vac
-from voablocks.blocks import propagate_eval, propagate_expand
+from voablocks.blocks import RationalExpr, heisenberg_correlator, propagate_eval, propagate_expand
 from voablocks.scalars import Scalar
+from voablocks.series import FracLaurent
 from voablocks.voa import (
     CutoffOverflow,
     GradedVector,
@@ -465,7 +466,8 @@ def test_sweep_builds_no_scalar(monkeypatch):
     assert built["scalar"] == 0
 
 
-# vectors store each value with one type: int, Fraction or cyclotomic Scalar
+# vectors, series and rational expressions store each value with one type:
+# int, Fraction or cyclotomic Scalar
 
 _COEF_SPACES = {name: _mode_space(name) for name in ("heisenberg", "fock-0", "fock-2/3", "fock-zeta3+1/2", "virasoro-1/2")}
 _ZETA3 = Scalar.root_of_unity(3)
@@ -490,11 +492,41 @@ def _two_builds(space, grade, terms):
     return plain_vec, scalar_vec
 
 
-def _assert_one_type(x):
-    for c in x.terms.values():
-        assert type(c) is int or (type(c) is Fraction and c.denominator != 1) or (
+_KINDS = ("int", "via-zeta", "cyclotomic")
+_SERIES_TERMS = hst.lists(
+    hst.tuples(hst.integers(-2, 4), hst.integers(-4, 4), hst.integers(1, 3), hst.sampled_from(_KINDS)),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _two_values(p, q, kind):
+    """p/q from int/Fraction input and from Scalar input.  An "int" value is
+    an int, or an integral Fraction, on the plain side; a "via-zeta" one
+    reaches p/q on the Scalar side through 1 + w + w^2 = 0; a "cyclotomic"
+    one is p/q + w on both sides."""
+    if kind == "cyclotomic":
+        return Fraction(p, q) + _ZETA3, rat(p, q) + _ZETA3
+    if kind == "via-zeta":
+        return Fraction(p, q), rat(p, q) + (1 + _ZETA3 + _ZETA3 * _ZETA3)
+    return (p if p % 2 else Fraction(p)) if q == 1 else Fraction(p, q), rat(p, q)
+
+
+def _two_series(terms, trunc=None):
+    """The same Laurent series from the two inputs of ``_two_values``."""
+    builds = ({}, {})
+    for e, p, q, kind in terms:
+        for build, value in zip(builds, _two_values(p, q, kind)):
+            build[e] = value
+    return [FracLaurent("z", 1, build, trunc) for build in builds]
+
+
+def _assert_stored(values, where):
+    # no rational Scalar, integral Fraction, float or zero
+    for c in values:
+        assert (type(c) is int and c != 0) or (type(c) is Fraction and c.denominator != 1) or (
             type(c) is Scalar and c.is_cyclotomic()
-        ), (c, x)
+        ), (c, where)
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
@@ -505,23 +537,72 @@ def _assert_one_type(x):
     _COEF_TERMS,
     hst.integers(-3, 3),
     hst.integers(-2, 3),
+    _SERIES_TERMS,
+    _SERIES_TERMS,
+    hst.sampled_from([None, 5]),
+    hst.tuples(hst.integers(-3, 3).filter(bool), hst.integers(1, 3), hst.sampled_from(_KINDS)),
 )
-def test_vector_coefficients_have_one_type(name, u_terms, v_terms, w_terms, c, n):
+def test_vector_coefficients_have_one_type(name, u_terms, v_terms, w_terms, c, n, a_terms, b_terms, trunc, value):
+    # vectors, Laurent series and rational expressions built from Scalars
+    # and from plain values store the same values with the same types
     alg, module = _COEF_SPACES[name]
     T = TensorPowerAlgebra(alg, 2)
-    results = []
+    vectors, series, exprs = [], [], []
     for build in range(2):
         u = _two_builds(alg, 2, u_terms)[build]
         v = _two_builds(alg, 2, v_terms)[build]
         w = _two_builds(module, 2, w_terms)[build]
         t = tensor_vector(T, [u, v])
-        results.append([u, w, u.scale(Scalar.integer(c)), u + v, u - v, mode_action(u, n, w), t, cycle_rotate(t)])
-    for from_plain, from_scalars in zip(*results):
-        _assert_one_type(from_plain)
-        _assert_one_type(from_scalars)
+        vectors.append([u, w, u.scale(Scalar.integer(c)), u + v, u - v, mode_action(u, n, w), t, cycle_rotate(t)])
+        a, b = _two_series(a_terms, trunc)[build], _two_series(b_terms)[build]
+        x = _two_values(*value)[build]
+        found = [a, b, a + b, a - b, a * b, a.scale(x), a.derivative(), a.shift(Fraction(1, 2))]
+        if a:
+            outer = FracLaurent("z", 1, {e: y for e, y in b.terms.items() if e >= 0})
+            found += [a.inverse(order=4), outer.compose(a.shift(1 - a.valuation()), 5)]
+        expr = RationalExpr.term(x, zpows={0: -1}, dpows={(0, 1): -2}) + RationalExpr.term(value[0], zpows={1: 2})
+        point = _two_values(1, 2, value[2])[build]
+        found.append(expr.substitute({0: FracLaurent.monomial("z", 1, x), 1: point}, "z", 4))
+        series.append(found)
+        found = [expr, expr * expr, expr.scale(x)]
+        if not name.startswith("virasoro"):  # momenta 0, 2/3 and w + 1/2
+            wp = _two_builds(dual_of(module), 2, v_terms)[build]
+            found.append(heisenberg_correlator([u, v], w, wp))
+        exprs.append(found)
+    for from_plain, from_scalars in zip(*vectors):
+        _assert_stored(from_plain.terms.values(), from_plain)
+        _assert_stored(from_scalars.terms.values(), from_scalars)
         assert from_plain == from_scalars
         # the twisted series caches key on these items
         assert frozenset(from_plain.terms.items()) == frozenset(from_scalars.terms.items())
+    for from_plain, from_scalars in zip(*series):
+        _assert_stored(from_plain.terms.values(), from_plain)
+        _assert_stored(from_scalars.terms.values(), from_scalars)
+        assert from_plain == from_scalars and hash(from_plain) == hash(from_scalars)
+    for from_plain, from_scalars in zip(*exprs):
+        _assert_stored(from_plain.terms.values(), from_plain)
+        _assert_stored(from_scalars.terms.values(), from_scalars)
+        assert frozenset(from_plain.terms.items()) == frozenset(from_scalars.terms.items())
+
+
+@pytest.mark.parametrize("momentum", [0, Fraction(2, 3)])
+def test_wick_oracle_builds_no_scalar(momentum, monkeypatch):
+    # this oracle call built 62 Scalars at momentum 0 and 121 at 2/3 when
+    # rational expressions stored every coefficient as a Scalar; it now
+    # multiplies stored values and builds none
+    W = fock(H, momentum)
+    vs, w, wp = [A, st(H, (2,)), A], st(W, (2, 1)), st(dual_of(W), (3,))
+    built = collections.Counter()
+    original = Scalar.__init__
+
+    def counted(self, *args, **kwargs):
+        built["scalar"] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Scalar, "__init__", counted)
+    expr = heisenberg_correlator(vs, w, wp)
+    assert len(expr.terms) == 6
+    assert built["scalar"] == 0
 
 
 def test_api_results_are_scalars():
@@ -538,6 +619,16 @@ def test_api_results_are_scalars():
     assert all(type(s) is Scalar for _, s in res.shells)
     expansion = propagate_expand([A, A], w, wp, 6)
     assert expansion and all(type(x) is Scalar for x in expansion.values())
+    s = FracLaurent("z", 1, {-1: 3, 0: Fraction(1, 2), 2: 1}, trunc=4)
+    assert type(s.coeff(0)) is Scalar and s.coeff(0) == rat(1, 2)
+    assert type(s.coeff(1)) is Scalar and s.coeff(1).is_zero()
+    assert type(s.residue()) is Scalar and s.residue() == rat(3)
+    exact = s.drop_truncation()
+    assert type(exact.evaluate(2)) is Scalar and exact.evaluate(2) == rat(6)
+    assert type(exact.evaluate(_ZETA3)) is Scalar and exact.evaluate(_ZETA3).is_cyclotomic()
+    expr = heisenberg_correlator([A, A], w, wp)
+    assert type(expr.evaluate({0: 1, 1: 2})) is Scalar and not expr.evaluate({0: 1, 1: 2}).is_zero()
+    assert type(RationalExpr().evaluate({})) is Scalar
 
 
 # tensor powers: the rotation and the basis check of ``state``
