@@ -26,7 +26,7 @@ from .blocks import (
     residue_criterion,
 )
 from .coordchange import solve_coefficients
-from .scalars import Scalar
+from .scalars import Scalar, ScalarError
 from .series import FracLaurent
 from .sewing import sew, sew_propagate_commute_check
 from .twist import TwistedModule, check_equivariance, check_grading, check_jacobi
@@ -560,7 +560,7 @@ def main(argv=None) -> int:
             cfg.params["grade"] = args.grade
         RunConfig.from_json(cfg.to_json())  # validate the effective config
         return run(cfg)
-    except (ValueError, OSError) as exc:  # bad input: config, JSON, values, files
+    except (ValueError, OSError, ScalarError) as exc:  # bad input: config, JSON, values, files, mixed fields
         sys.stderr.write(str(exc) + "\n")
         return 2
     except CutoffOverflow as exc:

@@ -426,10 +426,11 @@ def exact_pow(x, e: int):
     return stored(Fraction(x) ** e if type(x) is int else x**e)
 
 
+@lru_cache(maxsize=None)
 def binomial(r, m: int):
     """Generalized binomial coefficient C(r, m), and 0 for m < 0.  An integer
     r (an int, or a Fraction with denominator 1) gives an int, any other
-    rational r a Fraction."""
+    rational r a Fraction.  Memoized: sweeps ask for the same few values often."""
     if m < 0:
         return 0
     if r.denominator == 1:

@@ -12,9 +12,12 @@ from the z^k-chart to the z-chart at the root point w_k^i t (the correction
 is the k-th-root coordinate change at that point), evaluated by the Wick
 oracle.  The coefficient of t^(-kn-k) is the mode at index n.
 
-Two construction paths coexist and must agree where both apply: the
-generator formula (one non-vacuum slot, any base algebra reachable through
-coordinate changes) and the k-point oracle (Heisenberg, any slots).
+Two construction paths coexist and must agree where both apply, and each has
+one implementation.  The generator formula (one non-vacuum slot, any base
+algebra reachable through coordinate changes) is ``slot_mode_apply``; the
+generator path's modes and series are its slot-0 sum and the pairings of
+that sum.  The k-point oracle (Heisenberg, any slots) is ``pairing_series``,
+extended bilinearly to vectors w and w' by ``_matrix_series``.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .voa import (
     GradedVector,
     HeisenbergAlgebra,
     TensorPowerAlgebra,
+    _pairing,
     cycle_rotate,
     dual_of,
     dual_pairing,
@@ -48,6 +52,12 @@ def _chart_corrected(k: int, v: GradedVector, point) -> GradedVector:
     """Carry v from the z^k-chart to the z-chart at the root point ``point``:
     the k-th-root coordinate change there, to the order v's weight needs."""
     return apply_coord_change(kth_root_shift(k, v.max_weight() + 1, point), v)
+
+
+def _root_points(k: int, s) -> list:
+    """The root points w_k^i s of the k slots, i in range(k): exact scalars
+    for a number s, monomials for the symbolic s = t."""
+    return [Scalar.root_of_unity(k, i) * s for i in range(k)]
 
 
 class TwistedModule:
@@ -70,6 +80,7 @@ class TwistedModule:
         self.k = k
         self.tensor = TensorPowerAlgebra(module.algebra, k)
         self.dual = dual_of(module)
+        self._t_points = _root_points(k, FracLaurent.variable(TVAR))
         self._series = {}
         self._gen_series = {}
         self._corrected = {}
@@ -84,21 +95,16 @@ class TwistedModule:
 
     # ---- the two construction paths -------------------------------------
 
-    def root_points(self):
-        """The k-tuple of root positions (w_k^i t) as exact monomials."""
-        k = self.k
-        return [
-            FracLaurent.monomial(TVAR, 1, Scalar.root_of_unity(k, i)) for i in range(k)
-        ]
-
     def slot_corrected(self, mono, slot: int) -> GradedVector:
         """The base state ``mono`` carried to the root point w_k^slot t of
         its slot (see ``_chart_corrected``), computed once per module."""
         key = (tuple(mono), slot)
         hit = self._corrected.get(key)
         if hit is None:
-            point = FracLaurent.monomial(TVAR, 1, Scalar.root_of_unity(self.k, slot))
-            hit = _chart_corrected(self.k, GradedVector.state(self.tensor.base, mono), point)
+            if not 0 <= slot < self.k:
+                raise ValueError(f"slot {slot} is not in range({self.k})")
+            base_state = GradedVector.state(self.tensor.base, mono)
+            hit = _chart_corrected(self.k, base_state, self._t_points[slot])
             self._corrected[key] = hit
         return hit
 
@@ -110,7 +116,7 @@ class TwistedModule:
         hit = self._series.get(key)
         if hit is not None:
             return hit
-        pts = self.root_points()
+        pts = dict(enumerate(self._t_points))
         w = GradedVector.state(self.module, w_mono)
         wp = GradedVector.state(self.dual, wp_mono)
         total = FracLaurent.zero(TVAR, 1)
@@ -119,78 +125,63 @@ class TwistedModule:
             expr = heisenberg_correlator(slots, w, wp)
             if expr.is_zero():
                 continue
-            total = total + expr.substitute(dict(enumerate(pts)), TVAR).scale(coef)
+            total = total + expr.substitute(pts, TVAR).scale(coef)
         self._series[key] = total
         return total
 
     def generator_series(self, v: GradedVector, w_mono, wp_mono) -> FracLaurent:
         """Generator-path series: Y^g(v (x) 1 ... (x) 1, z) = Y(Dv, t) with D
-        the k-th-root coordinate change in the symbolic variable t."""
-        base = self.tensor.base
-        if v.space is not base:
+        the k-th-root coordinate change in the symbolic variable t.  The
+        weight-h component of v maps grade wt(w) into grade
+        k h + wt(w) - kn - k, so it meets w' through one mode kn alone."""
+        if v.space is not self.tensor.base:
             raise ValueError("v must live in the base algebra")
         key = (frozenset(v.terms.items()), w_mono, wp_mono)
         hit = self._gen_series.get(key)
         if hit is not None:
             return hit
-        # the root point of slot 0 is t itself; the coordinate action is linear
-        x = GradedVector(base)
-        for vm, c in v.terms.items():
-            x = x + self.slot_corrected(vm, 0).scale(c)
+        k = self.k
         w = GradedVector.state(self.module, w_mono)
-        total = FracLaurent.zero(TVAR, 1)
         wp = GradedVector.state(self.dual, wp_mono)
-        wt_w = self.module.weight(w_mono)
-        wt_wp = self.module.weight(wp_mono)
-        for b, coef in x.terms.items():
-            # only the mode landing on the out-grade pairs nontrivially
-            m = base.weight(b) + wt_w - wt_wp - 1
-            res = base.mode_mono(b, m, w_mono, self.module)
-            val = res.get(wp_mono)
-            if val is None:
-                continue
-            if isinstance(coef, FracLaurent):
-                total = total + coef.shift(-m - 1).scale(val)
-            else:
-                total = total + FracLaurent.monomial(TVAR, -m - 1, val * coef)
+        gap = self.module.weight(w_mono) - self.module.weight(wp_mono) - k
+        total = FracLaurent.zero(TVAR, 1)
+        for h, part in v.weight_components().items():
+            kn = k * h + gap
+            val = _pairing(self.generator_mode_apply(part, Fraction(kn, k), w), wp)
+            total = total + FracLaurent.monomial(TVAR, -kn - k, val)
         self._gen_series[key] = total
         return total
 
     # ---- modes -----------------------------------------------------------
 
-    def _element(self, u, n, w_mono, wp_mono):
-        # <Y^g(u)_n w, w'> as stored, for n on the (1/k)Z lattice
-        return self.pairing_series(u, w_mono, wp_mono).stored_coeff(-self.k * n - self.k)
+    def _matrix_series(self, u: GradedVector, w: GradedVector, wp: GradedVector) -> FracLaurent:
+        # <Y^g(u, z) w, w'> for vectors w and w': pairing_series, bilinearly
+        total = FracLaurent.zero(TVAR, 1)
+        for wm, wc in w.terms.items():
+            for pm, pc in wp.terms.items():
+                total = total + self.pairing_series(u, wm, pm).scale(wc * pc)
+        return total
 
     def full_mode_element(self, u: GradedVector, n, w: GradedVector, wp: GradedVector) -> Scalar:
         """<Y^g(u)_n w, w'> for arbitrary vectors, through the k-point oracle."""
         n = self.mode_index_lattice(n)
-        total = 0
-        for wm, wc in w.terms.items():
-            for pm, pc in wp.terms.items():
-                total = total + self._element(u, n, wm, pm) * wc * pc
-        return Scalar._coerce(total)
+        return self._matrix_series(u, w, wp).coeff(-self.k * n - self.k)
 
     def _single_slot(self, mono):
-        nz = [(i, m) for i, m in enumerate(mono) if m != ()]
-        if not nz:
-            return 0, ()
-        if len(nz) == 1:
-            return nz[0]
-        return None
+        # (slot, monomial) of the one non-vacuum slot, (0, ()) for the vacuum
+        nz = [(i, m) for i, m in enumerate(mono) if m != ()] or [(0, ())]
+        return nz[0] if len(nz) == 1 else None
 
     def slot_mode_apply(self, v_mono, slot: int, n, w: GradedVector) -> GradedVector:
         """Y^g of a vector occupying one tensor slot: the generator formula
         carried to the root point w_k^slot t, so only mode actions of the
         base algebra are needed."""
-        n = self.mode_index_lattice(n)
-        base = self.tensor.base
-        kn = int(self.k * n)
-        phase_base = stored(Scalar.root_of_unity(self.k, slot))
+        kn = int(self.k * self.mode_index_lattice(n))
         x = self.slot_corrected(v_mono, slot)
+        phase_base = self._t_points[slot].stored_coeff(1)  # w_k^slot, the root point's coefficient
         out = GradedVector(self.module)
         for b, coef in x.terms.items():
-            bvec = GradedVector.state(base, b)
+            bvec = GradedVector.state(self.tensor.base, b)
             exps = coef.terms.items() if isinstance(coef, FracLaurent) else [(Fraction(0), coef)]
             for e, ce in exps:
                 m = int(e) + kn + self.k - 1
@@ -203,6 +194,7 @@ class TwistedModule:
         """Y^g(u)_n w; single-slot tensor monomials go through the generator
         formula, genuinely multi-slot ones through the k-point oracle."""
         n = self.mode_index_lattice(n)
+        kn = int(self.k * n)
         out = GradedVector(self.module)
         oracle_parts = {}
         for mono, coef in u.terms.items():
@@ -216,14 +208,14 @@ class TwistedModule:
             rest = GradedVector(self.tensor, oracle_parts)
             for alpha, u_part in rest.weight_components().items():
                 for b, w_part in w.weight_components().items():
-                    target = self.k * alpha + b - int(self.k * n) - self.k
+                    target = self.k * alpha + b - kn - self.k
                     if target < 0:
                         continue
                     if target > self.module.cutoff:
                         raise CutoffOverflow(target, self.module.cutoff)
                     for wm, wc in w_part.terms.items():
                         for out_mono in self.module.basis(target):
-                            val = self._element(u_part, n, wm, out_mono)
+                            val = self.pairing_series(u_part, wm, out_mono).stored_coeff(-kn - self.k)
                             if val:
                                 out = out + GradedVector.state(self.module, out_mono, val * wc)
         return out
@@ -238,11 +230,7 @@ class TwistedModule:
 
     def mode_support(self, u: GradedVector, w: GradedVector, wp: GradedVector):
         """All n with <Y^g(u)_n w, w'> nonzero, from the generating series."""
-        total = FracLaurent.zero(TVAR, 1)
-        for wm, wc in w.terms.items():
-            for pm, pc in wp.terms.items():
-                total = total + self.pairing_series(u, wm, pm).scale(wc * pc)
-        return sorted(-(e / self.k) - 1 for e in total.terms)
+        return sorted(-(e / self.k) - 1 for e in self._matrix_series(u, w, wp).terms)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +246,8 @@ def factorization_check(tw: TwistedModule, u_slots, v_slots, w, wp, s_z, s_xi, s
     every root point is an exact cyclotomic scalar.  Returns
     (relative_error_float, partial_sum, oracle_value, shells)."""
     k = tw.k
-    zpts = [Scalar.root_of_unity(k, i) * s_z for i in range(k)]
-    xipts = [Scalar.root_of_unity(k, i) * s_xi for i in range(k)]
+    zpts = _root_points(k, s_z)
+    xipts = _root_points(k, s_xi)
     cu = [_chart_corrected(k, v, p) for v, p in zip(u_slots, zpts)]
     cv = [_chart_corrected(k, v, p) for v, p in zip(v_slots, xipts)]
     both = heisenberg_correlator(cu + cv, w, wp)
@@ -325,7 +313,7 @@ def product_expansion_check(tw: TwistedModule, u: GradedVector, v_slots, w, wp, 
     work = order + depth + 4
     rel = FracLaurent.monomial(kv, 1, reciprocal(xi))
     z1 = binomial_expand(s_xi, rel, Fraction(1, k), work)
-    xipts = [Scalar.root_of_unity(k, i) * s_xi for i in range(k)]
+    xipts = _root_points(k, s_xi)
     cu = _chart_corrected(k, u, z1)
     cv = [_chart_corrected(k, v, p) for v, p in zip(v_slots, xipts)]
     expr = heisenberg_correlator([cu] + cv, w, wp)
@@ -339,16 +327,8 @@ def product_expansion_check(tw: TwistedModule, u: GradedVector, v_slots, w, wp, 
         inner = mode_action(u, m, v_slots[0])
         if inner.is_zero():
             continue
-        total = 0
         composed = tensor_vector(tw.tensor, [inner] + list(v_slots[1:]))
-        for wm, wc in w.terms.items():
-            for pm, pc in wp.terms.items():
-                series = FracLaurent.zero(TVAR, 1)
-                for mono, coef in composed.terms.items():
-                    series = series + tw.pairing_series(
-                        GradedVector(tw.tensor, {mono: 1}), wm, pm
-                    ).scale(coef)
-                total = total + series.evaluate(s_xi) * wc * pc
+        total = tw._matrix_series(composed, w, wp).evaluate(s_xi)
         if total:
             rhs = rhs + FracLaurent.monomial(kv, -m - 1, total)
     rhs = rhs.truncate(order)

@@ -316,6 +316,11 @@ def _propagate_with_w(w):
 
 _ONE = {"terms": [[0, 1, 1]], "trunc": 8}
 
+# the primitive 4th and 3rd roots of unity: scalars of two cyclotomic fields
+# that no computation may mix
+_ZETA4 = {"cyc": {"k": 4, "vec": [[0, 1], [1, 1]]}}
+_ZETA3 = {"cyc": {"k": 3, "vec": [[0, 1], [1, 1]]}}
+
 
 def _negative_index_bound(tmp_path):
     path = tmp_path / "j.json"
@@ -365,6 +370,13 @@ def _negative_index_bound(tmp_path):
         _params_config("residue-check", params={"marked": ["0", "inf"], "series": [[_ONE, _ONE], [_ONE]]}),
         _params_config("uc-solve", params={"taylor": 5}),
         _params_config("uc-solve", params={"taylor": "12"}),
+        _params_config(
+            "propagate",
+            points=["1/2"],
+            params={"insertions": [[{"monomial": [1], "coeff": _ZETA4}]], "wp": [{"monomial": [1], "coeff": _ZETA3}]},
+        ),
+        _params_config("sew", params={"u": [{"monomial": [2], "coeff": _ZETA4}], "w": [{"monomial": [1], "coeff": _ZETA3}]}),
+        _propagate_with_w([{"monomial": [1], "coeff": _ZETA4}, {"monomial": [1], "coeff": _ZETA3}]),
     ],
     ids=[
         "malformed-json", "degenerate-taylor", "unordered-points", "missing-config", "negative-grade", "zero-k",
@@ -374,7 +386,8 @@ def _negative_index_bound(tmp_path):
         "negative-threads", "marked-not-list", "series-not-list", "string-pole-bound", "series-per-point",
         "zero-denominator-exponent", "string-expect", "points-not-list", "insertions-not-list", "commute-points-not-list",
         "twist-modes-k-list", "no-marked-points", "ragged-series-at-infinity", "ragged-series-at-zero",
-        "taylor-not-list", "taylor-string",
+        "taylor-not-list", "taylor-string", "mixed-fields-insertion-and-wp", "mixed-fields-u-and-w",
+        "mixed-fields-in-one-vector",
     ],
 )
 def test_bad_input_gives_one_line_and_exit_2(argv_for, tmp_path, capsys):

@@ -64,3 +64,24 @@ def test_every_library_definition_is_used():
         f"{path.name}:{name}" for name, path in _definitions() if not reaching[name] and not bare[path][name]
     )
     assert not dead, f"defined but never used: {dead}"
+
+
+def test_every_import_is_used():
+    # a name a library module imports and never uses is what a deletion
+    # leaves behind; __init__.py imports to re-export, and a __future__
+    # import is a compiler directive
+    unused = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno}:{name}")
+    assert not unused, f"imported but never used: {unused}"

@@ -86,21 +86,59 @@ def test_generator_modes_are_rescaled_oscillators():
 
 
 def test_construction_paths_agree():
-    # generator formula vs the k-point evaluation on their common domain; at
-    # k = 1 the chart-corrected coefficients are Scalars, not t-series
-    for k in (1, 2, 3):
-        tw = TwistedModule(W, k)
-        for g in range(0, 5):
-            for vm in H.basis(g):
-                v = st(H, vm)
+    # generator formula vs the k-point evaluation on their common domain, at
+    # momenta 0 and 2/3; each weight component of the mixed v meets w' through
+    # its own mode.  At k = 1 the chart-corrected coefficients are Scalars,
+    # not t-series
+    mixed = st(H, (2,)) + st(H, (1, 1), rat(-1, 3)) + A
+    vs = [st(H, vm) for g in range(0, 5) for vm in H.basis(g)] + [mixed]
+    for Wm in (W, fock(H, rat(2, 3))):
+        states = [m for g in range(0, 3) for m in Wm.basis(g)]
+        for k in (1, 2, 3):
+            tw = TwistedModule(Wm, k)
+            for v in vs:
                 vt = tensor_vector(tw.tensor, [v] + [VAC] * (k - 1))
-                for wg in range(0, 3):
-                    for wm in W.basis(wg):
-                        for pg in range(0, 3):
-                            for pm in W.basis(pg):
-                                s1 = tw.generator_series(v, wm, pm).drop_truncation()
-                                s2 = tw.pairing_series(vt, wm, pm).drop_truncation()
-                                assert s1 == s2, (k, vm, wm, pm)
+                for wm in states:
+                    for pm in states:
+                        s1 = tw.generator_series(v, wm, pm).drop_truncation()
+                        s2 = tw.pairing_series(vt, wm, pm).drop_truncation()
+                        assert s1 == s2, (Wm.momentum, k, v, wm, pm)
+        assert not tw.generator_series(mixed, (1,), (2,)).is_zero()
+
+
+@pytest.mark.parametrize("momentum", [0, rat(2, 3)], ids=["0", "2/3"])
+def test_slot_modes_match_the_oracle_at_every_slot(momentum):
+    # the generator formula carried to the root point of each slot against
+    # the k-point oracle with the same vector in that slot
+    Wm = fock(H, momentum)
+    WmD = dual_of(Wm)
+    monos = [m for g in range(0, 3) for m in H.basis(g)]
+    states = [m for g in range(0, 3) for m in Wm.basis(g)]
+    for k in (2, 3):
+        tw = TwistedModule(Wm, k)
+        for vm in monos:
+            for slot in range(k):
+                factors = [VAC] * k
+                factors[slot] = st(H, vm)
+                u = tensor_vector(tw.tensor, factors)
+                for wm in states:
+                    for m in range(-k, k + 1):
+                        img = tw.slot_mode_apply(vm, slot, Fraction(m, k), st(Wm, wm))
+                        for pm in states:
+                            oracle = tw.pairing_series(u, wm, pm).coeff(-m - k)
+                            assert dual_pairing(img, st(WmD, pm)) == oracle, (k, vm, slot, m, wm, pm)
+
+
+def test_slot_outside_the_twist_order_is_refused():
+    # at k = 2 slot 2 used to alias slot 0 and slot -1 slot 1, each cached
+    # under a key of its own
+    tw = TwistedModule(W, 2)
+    for slot in (2, -1, 5):
+        with pytest.raises(ValueError, match="slot"):
+            tw.slot_corrected((1,), slot)
+        with pytest.raises(ValueError, match="slot"):
+            tw.slot_mode_apply((1,), slot, Fraction(1, 2), st(W, (1,)))
+    assert not tw._corrected
 
 
 def test_weight_band():
