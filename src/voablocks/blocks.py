@@ -17,7 +17,6 @@ of the unique global rational section from local expansion data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -352,31 +351,40 @@ def _wick_sum(sites, w_mono, wp_mono, lam, nsites) -> RationalExpr:
 # truncated graded propagation
 
 
-@dataclass
 class PropagationResult:
-    value: Scalar
-    shells: list  # (grade, Scalar) contributions ordered by grade
-    tail_estimate: float
-    exact: bool
+    """The truncated block value, its per-grade shells (grade, Scalar) in
+    grade order, the heuristic tail estimate and whether the value is exact."""
+
+    __slots__ = ("value", "shells", "tail_estimate", "exact")
+
+    def __init__(self, value: Scalar, shells: list, tail_estimate: float, exact: bool):
+        self.value = value
+        self.shells = shells
+        self.tail_estimate = tail_estimate
+        self.exact = exact
 
 
-def _apply_field(v: GradedVector, z, state: GradedVector, cutoff: int, zpows=None) -> GradedVector:
-    """sum_n z^{-n-1} Y(v)_n state, keeping output grades <= cutoff.
+def _apply_field(v: GradedVector, z, state: GradedVector, grades, zpows=None) -> GradedVector:
+    """sum_n z^{-n-1} Y(v)_n state, keeping only the output grades in ``grades``.
 
-    ``zpows`` maps an exponent e to the stored value z^e; calls with the
-    same z may share it."""
+    Mode n of a monomial sm lands at grade top - n with top = wt v + wt sm - 1,
+    so each grade d in ``grades`` (distinct, >= 0) costs the one mode n = top - d;
+    the modes run from low n to high.  ``zpows`` maps an exponent e to the
+    stored value z^e; calls with the same z may share it."""
     module = state.space
     alg = module.algebra
     if zpows is None:
         zpows = {}
     z = stored(z)
+    downward = sorted(grades, reverse=True)
     acc = {}
     for vm, vc in v.terms.items():
         wtv = alg.weight(vm)
         for sm, sc in state.terms.items():
             top = wtv + module.weight(sm) - 1
             vs = vc * sc
-            for n in range(top - cutoff, top + 1):
+            for d in downward:
+                n = top - d
                 res = alg.mode_mono(vm, n, sm, module)
                 if not res:
                     continue
@@ -402,7 +410,11 @@ def propagate_eval(vs, zs, w: GradedVector, wp: GradedVector, cutoff: int, keep=
 
     Requires strictly increasing moduli 0 < |z_1| < ... < |z_n|.  Shells are
     indexed by the grade of the intermediate state just before the last
-    insertion; their magnitudes feed a geometric-ratio tail estimate.
+    insertion, one per grade that state reaches, zeros included; their
+    magnitudes feed a geometric-ratio tail estimate.  The inner insertions
+    keep every grade up to ``cutoff``; the last one computes only the modes
+    that land at a grade of w', since the others pair to zero with it, so
+    the shells are those of the full truncated sum.
     """
     if len(vs) != len(zs):
         raise ValueError("insertion vectors and points must match up")
@@ -419,14 +431,19 @@ def propagate_eval(vs, zs, w: GradedVector, wp: GradedVector, cutoff: int, keep=
         return PropagationResult(val, [(w.max_weight(), val)], 0.0, True)
     state = w
     for v, z in zip(vs[:-1], zs[:-1]):
-        state = _apply_field(v, z, state, cutoff)
+        state = _apply_field(v, z, state, range(cutoff + 1))
     shells = []
     zpows = {}
+    wp_grades = _grades(wp)
     for g, part in sorted(state.weight_components().items()):
-        acted = _apply_field(vs[-1], zs[-1], part, cutoff, zpows)
+        acted = _apply_field(vs[-1], zs[-1], part, wp_grades, zpows)
         shells.append((g, dual_pairing(acted, wp)))
     total = Scalar._coerce(sum(s for _, s in shells))
     return PropagationResult(total, shells, _tail_estimate(shells, keep), len(vs) <= 1)
+
+
+def _grades(vec: GradedVector) -> set:
+    return {vec.space.weight(m) for m in vec.terms}
 
 
 def _tail_estimate(shells, keep=5) -> float:
@@ -450,18 +467,24 @@ def propagate_expand(vs, w: GradedVector, wp: GradedVector, shell_cap: int) -> d
     A monomial is complete (all contributions collected) iff the grades
     g_t = wt(w) + sum_{i<=t} (wt(v_i) + e_i) all lie in [0, shell_cap]:
     the exponent e_i = -n_i - 1 fixes the grade after the i-th insertion.
+    As in ``_apply_field``, mode n lands at grade top - n; the last insertion
+    takes only the modes that land at a grade of w' up to shell_cap.
     """
     module = w.space
     alg = module.algebra
     nvars = len(vs)
     states = {m: {(0,) * nvars: c} for m, c in w.terms.items()}
+    inner = sorted(range(shell_cap + 1), reverse=True)
+    last = sorted((d for d in _grades(wp) if d <= shell_cap), reverse=True)
     for i, v in enumerate(vs):
         nxt = {}
+        downward = last if i == nvars - 1 else inner
         for vm, vc in v.terms.items():
             wtv = alg.weight(vm)
             for sm, poly in states.items():
                 top = wtv + module.weight(sm) - 1
-                for n in range(top - shell_cap, top + 1):
+                for d in downward:
+                    n = top - d
                     res = alg.mode_mono(vm, n, sm, module)
                     if not res:
                         continue

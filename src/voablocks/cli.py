@@ -14,7 +14,6 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .blocks import (
@@ -83,16 +82,20 @@ def _fmt(value, mode: str) -> str:
     return str(scalar)
 
 
-@dataclass
 class RunConfig:
-    subcommand: str
-    algebra: dict = field(default_factory=lambda: {"kind": "heisenberg"})
-    cutoffs: dict = field(default_factory=lambda: {"L": 24, "N": 8})
-    points: list = field(default_factory=list)
-    mode: str = "exact"
-    threads: int = 1
-    out: str = None
-    params: dict = field(default_factory=dict)
+    """One run of a subcommand, as read from and written to a JSON config."""
+
+    def __init__(
+        self, subcommand, algebra=None, cutoffs=None, points=None, mode="exact", threads=1, out=None, params=None
+    ):
+        self.subcommand = subcommand
+        self.algebra = {"kind": "heisenberg"} if algebra is None else algebra
+        self.cutoffs = {"L": 24, "N": 8} if cutoffs is None else cutoffs
+        self.points = [] if points is None else points
+        self.mode = mode
+        self.threads = threads
+        self.out = out
+        self.params = {} if params is None else params
 
     def to_json(self):
         return {
@@ -320,7 +323,8 @@ def _run_sew(cfg: RunConfig):
     else:
         wp = GradedVector(Wd, {m: 1 for g in range(N + 1) for m in Wd.basis(g)})
     L = cfg.cutoffs["L"]
-    field_at_1 = _apply_field(u, 1, w, L)
+    # the Casimir shells pair the field with dual states of grade <= N only
+    field_at_1 = _apply_field(u, 1, w, range(min(N, L) + 1))
 
     def block(m, md):
         # pairing block times the one-point sphere block at 1 (Example-lb9 shape)

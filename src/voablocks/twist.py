@@ -263,7 +263,7 @@ def factorization_check(tw: TwistedModule, u_slots, v_slots, w, wp, s_z, s_xi, s
     if len(nontrivial) <= 1:
         state = w
         for v, p in nontrivial:
-            state = _apply_field(v, p, state, shell_cutoff)
+            state = _apply_field(v, p, state, range(shell_cutoff + 1))
         comps = state.weight_components()
         for g in range(shell_cutoff + 1):
             shell = S0

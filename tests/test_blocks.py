@@ -7,6 +7,8 @@ from support import fock, heis, pair_field, rat, st, vac
 from voablocks import linalg
 from voablocks.blocks import (
     INF,
+    _apply_field,
+    _tail_estimate,
     heisenberg_correlator,
     permutation_check,
     propagate_eval,
@@ -17,7 +19,7 @@ from voablocks.blocks import (
 from voablocks.coordchange import CoordChange, apply_coord_change
 from voablocks.scalars import Scalar
 from voablocks.series import FracLaurent
-from voablocks.voa import GradedVector, contragredient_mode, dual_of, dual_pairing, mode_action
+from voablocks.voa import CutoffOverflow, GradedVector, contragredient_mode, dual_of, dual_pairing, mode_action
 
 
 H = heis(44)
@@ -167,6 +169,77 @@ def test_expansions_agree_coefficientwise():
             if complete(key, wts, w.max_weight(), cap) and all(abs(x) < 8 for x in key):
                 assert key in prop or c.is_zero()
         assert npairs > 5
+
+
+# The last insertion of propagate_eval and propagate_expand computes only the
+# modes that land at a grade of w'.  These references rebuild the full-grade
+# algorithm (every mode up to the cutoff, then the pairing with w') and must
+# agree exactly with the restricted one.
+
+WM = fock(H, rat(2, 3))
+WMD = dual_of(WM)
+W_IN = st(WM, (1,)) + vac(WM).scale(3)  # a_{-1}|0> + 3|0>
+WP_MIXED = GradedVector(  # grades 0, 2, 3 and 4
+    WMD,
+    {(): rat(1, 2), (1, 1): rat(2), (2, 1): rat(-3), (3,): rat(5, 7), (2, 2): rat(1), (4,): rat(-1, 4)},
+)
+V_MIXED = vac(H) + st(H, (1,)) + st(H, (2,), rat(-1, 3)) + st(H, (1, 1), rat(1, 2))
+MIXED_CASES = [
+    ([V_MIXED, A], [rat(1, 3), rat(1)], 9),
+    ([A, V_MIXED, V_MIXED], [rat(-1, 5), rat(1, 2), rat(2)], 7),
+]
+
+
+def _full_grade_eval(vs, zs, w, wp, cutoff):
+    everything = range(cutoff + 1)
+    state = w
+    for v, z in zip(vs[:-1], zs[:-1]):
+        state = _apply_field(v, z, state, everything)
+    shells = [
+        (g, dual_pairing(_apply_field(vs[-1], zs[-1], part, everything), wp))
+        for g, part in sorted(state.weight_components().items())
+    ]
+    value = Scalar._coerce(sum(s for _, s in shells))
+    return value, shells, _tail_estimate(shells), len(vs) <= 1
+
+
+def _full_grade_expand(vs, w, wp, cap):
+    module = w.space
+    states = {m: {(0,) * len(vs): c} for m, c in w.terms.items()}
+    for i, v in enumerate(vs):
+        nxt = {}
+        for vm, vc in v.terms.items():
+            for sm, poly in states.items():
+                top = H.weight(vm) + module.weight(sm) - 1
+                for n in range(top - cap, top + 1):
+                    for m, c in H.mode_mono(vm, n, sm, module).items():
+                        tgt = nxt.setdefault(m, {})
+                        for key, pc in poly.items():
+                            k2 = key[:i] + (-n - 1,) + key[i + 1 :]
+                            tgt[k2] = tgt.get(k2, 0) + pc * c * vc
+        states = nxt
+    out = {}
+    for m, poly in states.items():
+        if m in wp.terms:
+            for key, c in poly.items():
+                out[key] = out.get(key, 0) + c * wp.terms[m]
+    return {k: Scalar._coerce(c) for k, c in out.items() if c != 0}
+
+
+@pytest.mark.parametrize("vs,zs,cutoff", MIXED_CASES, ids=["2-insertions", "3-insertions"])
+def test_last_insertion_restriction_matches_the_full_grade_sum(vs, zs, cutoff):
+    res = propagate_eval(vs, zs, W_IN, WP_MIXED, cutoff)
+    value, shells, tail, exact = _full_grade_eval(vs, zs, W_IN, WP_MIXED, cutoff)
+    assert not value.is_zero() and sum(1 for _, s in shells if not s.is_zero()) > 3
+    assert res.value == value
+    assert res.shells == shells
+    assert res.tail_estimate == tail
+    assert res.exact == exact
+    for cap in (cutoff, 3):
+        expansion = propagate_expand(vs, W_IN, WP_MIXED, cap)
+        assert expansion and expansion == _full_grade_expand(vs, W_IN, WP_MIXED, cap)
+    with pytest.raises(CutoffOverflow):
+        propagate_eval(vs, zs, W_IN, WP_MIXED, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""Repository hygiene: the library keeps no dead helpers."""
+"""Repository hygiene: the library keeps no dead helpers and a lean import path."""
 
 import ast
 import collections
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,3 +88,12 @@ def test_every_import_is_used():
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno}:{name}")
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_import_path_skips_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize: start-up time that
+    # every CLI run and every benchmark set-up pays
+    code = "import voablocks, voablocks.cli, sys; print('dataclasses' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
