@@ -400,12 +400,21 @@ def _apply_field(v: GradedVector, z, state: GradedVector, grades, zpows=None) ->
     return GradedVector(module, acc)
 
 
-def radially_ordered(zs) -> bool:
-    mags = [abs(Fraction(stored(z))) for z in zs]
-    return all(a < b for a, b in zip(mags, mags[1:]))
+def radial_points(vs, zs) -> list:
+    """The stored points of the insertions ``vs``: one per insertion, off
+    the origin, with strictly increasing moduli."""
+    if len(vs) != len(zs):
+        raise ValueError("insertion vectors and points must match up")
+    zs = [stored(z) for z in zs]
+    if not all(zs):
+        raise ValueError("insertion points must avoid the origin")
+    mags = [abs(Fraction(z)) for z in zs]
+    if not all(a < b for a, b in zip(mags, mags[1:])):
+        raise ValueError("insertion points violate radial ordering")
+    return zs
 
 
-def propagate_eval(vs, zs, w: GradedVector, wp: GradedVector, cutoff: int, keep=5) -> PropagationResult:
+def propagate_eval(vs, zs, w: GradedVector, wp: GradedVector, cutoff: int) -> PropagationResult:
     """Truncated iterated sum <Y(v_n,z_n)...Y(v_1,z_1) w, w'>.
 
     Requires strictly increasing moduli 0 < |z_1| < ... < |z_n|.  Shells are
@@ -416,13 +425,7 @@ def propagate_eval(vs, zs, w: GradedVector, wp: GradedVector, cutoff: int, keep=
     that land at a grade of w', since the others pair to zero with it, so
     the shells are those of the full truncated sum.
     """
-    if len(vs) != len(zs):
-        raise ValueError("insertion vectors and points must match up")
-    zs = [stored(z) for z in zs]
-    if not all(zs):
-        raise ValueError("insertion points must avoid the origin")
-    if not radially_ordered(zs):
-        raise ValueError("insertion points violate radial ordering")
+    zs = radial_points(vs, zs)
     needed = max(w.max_weight(), wp.max_weight())
     if needed > cutoff:
         raise CutoffOverflow(needed, cutoff)
@@ -439,21 +442,21 @@ def propagate_eval(vs, zs, w: GradedVector, wp: GradedVector, cutoff: int, keep=
         acted = _apply_field(vs[-1], zs[-1], part, wp_grades, zpows)
         shells.append((g, dual_pairing(acted, wp)))
     total = Scalar._coerce(sum(s for _, s in shells))
-    return PropagationResult(total, shells, _tail_estimate(shells, keep), len(vs) <= 1)
+    return PropagationResult(total, shells, _tail_estimate(shells), len(vs) <= 1)
 
 
 def _grades(vec: GradedVector) -> set:
     return {vec.space.weight(m) for m in vec.terms}
 
 
-def _tail_estimate(shells, keep=5) -> float:
+def _tail_estimate(shells) -> float:
+    # a geometric tail from the ratio of the last two nonzero shells
     vals = [abs(s.to_complex()) for _, s in shells if not s.is_zero()]
     if not vals:
         return 0.0
-    tail = vals[-keep:]
-    last = tail[-1]
-    if len(tail) >= 2 and tail[-2] > 0:
-        r = last / tail[-2]
+    last = vals[-1]
+    if len(vals) >= 2 and vals[-2] > 0:
+        r = last / vals[-2]
         if r < 1:
             return last * r / (1 - r)
         return float("inf")

@@ -239,8 +239,10 @@ class TwistedModule:
 
 def factorization_check(tw: TwistedModule, u_slots, v_slots, w, wp, s_z, s_xi, shell_cutoff: int):
     """Graded-intermediate-sum factorization of the twisted two-point
-    composition: sum over shells of pairings at the z-roots times pairings
-    at the xi-roots, against the single 2k-point oracle value.
+    composition, against the single 2k-point oracle value.  Shell g is the
+    xi-side oracle on A_g, the grade-g part of A = sum_m <Y_z w, m'> m: with
+    at most one non-vacuum z-slot A is that field applied to w, otherwise
+    each coefficient is a z-side oracle value.
 
     z = s_z^k and xi = s_xi^k must be exact k-th powers with |z| < |xi| so
     every root point is an exact cyclotomic scalar.  Returns
@@ -251,46 +253,29 @@ def factorization_check(tw: TwistedModule, u_slots, v_slots, w, wp, s_z, s_xi, s
     cu = [_chart_corrected(k, v, p) for v, p in zip(u_slots, zpts)]
     cv = [_chart_corrected(k, v, p) for v, p in zip(v_slots, xipts)]
     both = heisenberg_correlator(cu + cv, w, wp)
-    pts = dict(enumerate(zpts + xipts))
-    oracle = both.evaluate(pts)
+    oracle = both.evaluate(dict(enumerate(zpts + xipts)))
 
-    # With at most one non-vacuum z-slot the field applied to w has exact
-    # graded coefficients, so only its (sparse) support meets the Casimir
-    # shells; otherwise every shell is priced through the exact oracle.
+    # one field on w has exact graded coefficients; a product of two would be
+    # cut at the shell cutoff, so then A's coefficients come from the oracle
     nontrivial = [(v, p) for v, p in zip(cu, zpts) if list(v.terms) != [()]]
-    shells = []
-    total = S0
     if len(nontrivial) <= 1:
         state = w
         for v, p in nontrivial:
             state = _apply_field(v, p, state, range(shell_cutoff + 1))
-        comps = state.weight_components()
-        for g in range(shell_cutoff + 1):
-            shell = S0
-            part = comps.get(g)
-            if part is not None:
-                for mono, coef in part.terms.items():
-                    b_val = heisenberg_correlator(
-                        cv, GradedVector.state(tw.module, mono), wp
-                    ).evaluate(dict(enumerate(xipts)))
-                    shell = shell + coef * b_val
-            shells.append((g, shell))
-            total = total + shell
     else:
-        for g in range(shell_cutoff + 1):
-            shell = S0
-            for mono in tw.module.basis(g):
-                a_val = heisenberg_correlator(
-                    cu, w, GradedVector.state(tw.dual, mono)
-                ).evaluate(dict(enumerate(zpts)))
-                if a_val.is_zero():
-                    continue
-                b_val = heisenberg_correlator(
-                    cv, GradedVector.state(tw.module, mono), wp
-                ).evaluate(dict(enumerate(xipts)))
-                shell = shell + a_val * b_val
-            shells.append((g, shell))
-            total = total + shell
+        state = GradedVector(tw.module, {
+            mono: heisenberg_correlator(cu, w, GradedVector.state(tw.dual, mono)).evaluate(dict(enumerate(zpts)))
+            for g in range(shell_cutoff + 1)
+            for mono in tw.module.basis(g)
+        })
+    comps = state.weight_components()
+    shells = []
+    total = S0
+    for g in range(shell_cutoff + 1):
+        part = comps.get(g)
+        shell = S0 if part is None else heisenberg_correlator(cv, part, wp).evaluate(dict(enumerate(xipts)))
+        shells.append((g, shell))
+        total = total + shell
     err = abs((total - oracle).to_complex())
     denom = abs(oracle.to_complex())
     rel = err / denom if denom else err

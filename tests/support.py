@@ -9,6 +9,26 @@ from voablocks.voa import (
 )
 
 
+class TrivialModule:
+    """The one-dimensional module concentrated in grade zero."""
+
+    is_dual = False
+    algebra = None
+
+    def vacuum_mono(self):
+        return ()
+
+    def weight(self, mono):
+        return 0
+
+    def basis(self, n):
+        return ((),) if n == 0 else ()
+
+    def check_mono(self, mono):
+        if mono != ():
+            raise ValueError(f"{mono!r} is not a basis monomial: the trivial module has only ()")
+
+
 def heis(cutoff=30):
     return HeisenbergAlgebra(cutoff=cutoff)
 

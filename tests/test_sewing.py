@@ -3,13 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from support import fock, heis, pair_field, rat, st, vac
-from voablocks import linalg
-from voablocks.blocks import heisenberg_correlator, propagate_eval
+from support import TrivialModule, fock, heis, pair_field, rat, st, vac
+from voablocks import linalg, sewing
+from voablocks.blocks import RationalExpr, heisenberg_correlator, propagate_eval
 from voablocks.scalars import Scalar
 from voablocks.series import FracLaurent
 from voablocks.sewing import (
-    TrivialModule,
     converge_diag,
     sew,
     sew_propagate_commute_check,
@@ -147,6 +146,71 @@ def test_commute_series_sums_to_oracle_at_q_one():
     # and the partial sums match the radially ordered propagation directly
     res = propagate_eval(vs_a + vs_b, za + zb, w, wp, cutoff=30)
     assert abs(res.value.to_complex() - combined.to_complex()) < 1e-8
+
+
+def _casimir_lhs(vs_a, za, vs_b, zb, w, wp, q_cutoff, grade_cutoff):
+    # the propagated-then-sewn side by its definition: a propagation on each
+    # sphere for every Casimir pair (m, m'), summed shell by shell
+    def block(m, md):
+        a_val = propagate_eval(vs_a, za, w, md, grade_cutoff).value
+        return a_val * propagate_eval(vs_b, zb, m, wp, grade_cutoff).value
+
+    return sew(block, w.space, q_cutoff)
+
+
+@pytest.mark.parametrize("case", ["mixed-grades", "vacuum-insertion", "two-on-A", "two-on-B"])
+def test_commute_lhs_is_the_casimir_contraction(case, monkeypatch):
+    Wm = fock(H, rat(2, 3))
+    Wmd = dual_of(Wm)
+    w, wp = st(Wm, (1,)), st(Wmd, (1,))
+    vs_a, za, vs_b, zb = [A], [rat(1, 3)], [A], [rat(3, 2)]
+    if case == "mixed-grades":
+        w = GradedVector(Wm, {(): 3, (1,): 1, (2, 1): rat(-1, 2)})
+        wp = GradedVector(Wmd, {(): 1, (1, 1): 2, (3,): rat(1, 3)})
+    elif case == "vacuum-insertion":
+        vs_a = [vac(H)]
+    elif case == "two-on-A":
+        vs_a, za = [A, st(H, (2,))], [rat(1, 5), rat(1, 2)]
+    else:
+        vs_b, zb = [A, st(H, (1, 1))], [rat(3, 2), rat(3)]
+    q_cutoff, grade_cutoff = 6, 16
+    expected = _casimir_lhs(vs_a, za, vs_b, zb, w, wp, q_cutoff, grade_cutoff)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return propagate_eval(*args)
+
+    monkeypatch.setattr(sewing, "propagate_eval", counted)
+    _, _, lhs, _ = sew_propagate_commute_check(vs_a, za, vs_b, zb, w, wp, q_cutoff, grade_cutoff)
+    assert lhs.terms and lhs.terms == expected.terms and lhs.trunc == expected.trunc
+    # one propagation per q-grade, none per Casimir basis state
+    assert len(calls) <= q_cutoff + 1
+
+
+def test_two_insertions_on_a_sphere_converge_in_the_grade_cutoff(monkeypatch):
+    # the inner of two insertions on sphere A is cut at grade_cutoff, so the
+    # propagated-then-sewn side is a truncated sum: its mismatch with the
+    # exact sewn oracle falls with the cutoff while the oracle side stays put
+    orders = []
+    substitute = RationalExpr.substitute
+
+    def recorded(self, points, var, order=None):
+        orders.append(order)
+        return substitute(self, points, var, order)
+
+    monkeypatch.setattr(RationalExpr, "substitute", recorded)
+    (ok20, disc20, _, rhs20), (ok30, disc30, _, rhs30) = [
+        sew_propagate_commute_check(
+            [A, A], [rat(1, 5), rat(1, 2)], [A], [rat(2)], st(W, (1,)), vac(WD), 8, cutoff
+        )
+        for cutoff in (20, 30)
+    ]
+    assert not ok20 and not ok30
+    assert 0 < 100 * disc30 <= disc20
+    assert rhs20.terms == rhs30.terms and rhs20.trunc == rhs30.trunc
+    # the q-expansion of the oracle side had to widen its binomial order
+    assert max(orders) > min(orders)
 
 
 def test_converge_diag_geometric():

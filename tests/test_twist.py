@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from support import fock, heis, rat, st, vac
+from voablocks.blocks import heisenberg_correlator
 from voablocks.scalars import Scalar
 from voablocks.series import FracLaurent
 from voablocks import twist
@@ -344,6 +345,43 @@ def test_factorization_convergence():
     )
     assert rel < 1e-8
     assert not oracle.is_zero()
+
+
+def test_factorization_with_two_nonvacuum_z_slots():
+    # two non-vacuum z-slots build the z-side vector from the oracle value at
+    # each basis state; with w = a_{-1}|0> the odd Wick count makes every
+    # value vanish (measured before the graded contraction: rel 0.0, all
+    # nine shells zero)
+    H20 = heis(20)
+    W20 = fock(H20, 0)
+    WD20 = dual_of(W20)
+    a, v = st(H20, (1,)), vac(H20)
+    tw = TwistedModule(W20, 2)
+    rel, total, oracle, shells = factorization_check(
+        tw, [a, a], [a, v], st(W20, (1,)), st(WD20, (1,)), rat(1, 4), rat(1), shell_cutoff=8
+    )
+    assert rel == 0.0 and total.is_zero() and oracle.is_zero()
+    assert shells == [(g, Scalar.integer(0)) for g in range(9)]
+    # with w = |0> the sides do not vanish: every shell is the sum over the
+    # Casimir basis pairs of z-side times xi-side oracle values
+    w = vac(W20)
+    wp = st(WD20, (1,))
+    zpts, xipts = twist._root_points(2, rat(1, 4)), twist._root_points(2, rat(1))
+    cu = [twist._chart_corrected(2, x, p) for x, p in zip([a, a], zpts)]
+    cv = [twist._chart_corrected(2, x, p) for x, p in zip([a, v], xipts)]
+    rels = []
+    for cutoff in (8, 12):
+        rel, total, oracle, shells = factorization_check(tw, [a, a], [a, v], w, wp, rat(1, 4), rat(1), cutoff)
+        for g, shell in shells:
+            by_pairs = Scalar.integer(0)
+            for mono in W20.basis(g):
+                a_val = heisenberg_correlator(cu, w, st(WD20, mono)).evaluate(dict(enumerate(zpts)))
+                b_val = heisenberg_correlator(cv, st(W20, mono), wp).evaluate(dict(enumerate(xipts)))
+                by_pairs = by_pairs + a_val * b_val
+            assert (shell - by_pairs).is_zero(), (cutoff, g)
+        assert not oracle.is_zero()
+        rels.append(rel)
+    assert rels[1] < rels[0] < 1e-4
 
 
 def test_product_expansion_consistency():
