@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import linalg
 from .scalars import Scalar, binomial, exact_pow, stored
-from .series import FracLaurent
+from .series import FracLaurent, _lower_bound
 from .voa import CutoffOverflow, DualModule, GradedVector, HeisenbergAlgebra, dual_pairing
 
 INF = "infinity"  # marked-point sentinel for the point at infinity
@@ -130,28 +130,44 @@ class RationalExpr:
             total = total + val
         return Scalar._coerce(total)
 
-    def substitute(self, points: dict, var: str, order=None) -> FracLaurent:
+    def substitute(self, points: dict, var: str, trunc=None) -> FracLaurent:
         """Substitute a FracLaurent (or scalar, treated as constant) for each
         point and return the resulting series in ``var``.
 
-        Exact when every needed factor is a monomial; otherwise ``order``
-        bounds the binomial expansions of the non-monomial factors.
+        Without ``trunc`` the result is exact, and a non-monomial factor with
+        a negative power raises TruncationError.  With ``trunc`` every term is
+        expanded until it is known below x^trunc, counting from its lowest
+        exponent, and the sum is truncated there; a truncated point still
+        caps the result's truncation below ``trunc``.
         """
 
         pts = {i: p if isinstance(p, FracLaurent) else FracLaurent(var, 1, {0: p}) for i, p in points.items()}
         lat = 1
         for p in pts.values():
             lat = lat * p.k // math.gcd(lat, p.k)
-        total = FracLaurent.zero(var, lat)
+        total = FracLaurent.zero(var, lat, trunc)
         for (zp, dp), c in self.terms.items():
             if isinstance(c, FracLaurent):
                 val = c.rename(var)
             else:
                 val = FracLaurent(var, 1, {Fraction(0): c})
-            for i, e in zp:
-                val = val * _series_power(pts[i], e, order)
-            for (i, j), e in dp:
-                val = val * _series_power(pts[i] - pts[j], e, order)
+            factors = [(pts[i], e) for i, e in zp] + [(pts[i] - pts[j], e) for (i, j), e in dp]
+            order = None
+            if trunc is not None:
+                low = val.valuation()
+                for f, e in factors:
+                    bound = _lower_bound(f)
+                    if bound is None:  # an exact-zero factor
+                        if e < 0:
+                            raise ZeroDivisionError("coincident insertion points")
+                        low = trunc  # the term vanishes
+                        break
+                    low += e * bound
+                if low >= trunc:
+                    continue  # nothing of this term lies below x^trunc
+                order = trunc - low
+            for f, e in factors:
+                val = val * (f**e if e >= 0 else f.inverse(order) ** -e)
             total = total + val
         return total
 
@@ -203,12 +219,6 @@ def _mpoly_mul(a, b):
             c = c1 * c2
             out[k] = out[k] + c if k in out else c
     return out
-
-
-def _series_power(s: FracLaurent, e: int, order):
-    if e >= 0:
-        return s**e
-    return s.inverse(order=order) ** (-e)
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +410,13 @@ def _apply_field(v: GradedVector, z, state: GradedVector, grades, zpows=None) ->
     return GradedVector(module, acc)
 
 
+def _modulus(z):
+    # |z| of a stored point, exact: the radial order is decided for rational points only
+    if isinstance(z, Scalar):
+        raise ValueError(f"the modulus of the point {z} cannot be compared exactly; use rational points")
+    return abs(z)
+
+
 def radial_points(vs, zs) -> list:
     """The stored points of the insertions ``vs``: one per insertion, off
     the origin, with strictly increasing moduli."""
@@ -408,7 +425,7 @@ def radial_points(vs, zs) -> list:
     zs = [stored(z) for z in zs]
     if not all(zs):
         raise ValueError("insertion points must avoid the origin")
-    mags = [abs(Fraction(z)) for z in zs]
+    mags = [_modulus(z) for z in zs]
     if not all(a < b for a, b in zip(mags, mags[1:])):
         raise ValueError("insertion points violate radial ordering")
     return zs
@@ -519,7 +536,7 @@ def permutation_check(vs, zs, w, wp, cutoff=None, tol=None) -> bool:
     on the series path it holds to the given tail tolerance.
     """
     zs = [stored(z) for z in zs]
-    order = sorted(range(len(zs)), key=lambda i: abs(Fraction(zs[i])))
+    order = sorted(range(len(zs)), key=lambda i: _modulus(zs[i]))
     vs_sorted = [vs[i] for i in order]
     zs_sorted = [zs[i] for i in order]
     if cutoff is None:

@@ -203,44 +203,31 @@ class FracLaurent:
     def inverse(self, order=None) -> "FracLaurent":
         """Multiplicative inverse as a series ascending from -valuation.
 
-        Exact (no truncation) when self is a monomial; otherwise the result
-        carries a truncation order, derived from self.trunc or from ``order``
-        (the number of correct terms counted from the leading one).
+        Exact (no truncation) when self is an exact monomial; otherwise the
+        geometric series of ``binomial_expand`` with r = -1, known to the
+        relative order ``order`` (the number of correct terms counted from
+        the leading one) and to no more than self.trunc justifies.
         """
         v = self.valuation()
         if v is None:
             raise ZeroDivisionError("inverting the zero series")
         linv = reciprocal(self.terms[v])
-        if len(self.terms) == 1:
-            out = FracLaurent(self.var, self.k, {-v: linv})
-            if self.trunc is None:
-                return out
-            known = self.trunc - v
-        else:
-            known = None if self.trunc is None else self.trunc - v
-        if known is None:
+        lead = FracLaurent(self.var, self.k, {-v: linv})
+        if self.trunc is None:
+            if len(self.terms) == 1:
+                return lead
             if order is None:
                 raise TruncationError("inverse of a non-monomial series needs an order")
-            known = Fraction(order)
-        if order is not None:
-            known = min(known, Fraction(order))
-        # u = 1 - self / (lead * x^v); inverse = lead^-1 x^-v * sum u^m
-        rel = FracLaurent(self.var, self.k, {e - v: -(c * linv) for e, c in self.terms.items() if e != v})
-        acc = FracLaurent.one(self.var, self.k)
-        out = FracLaurent.one(self.var, self.k)
-        step = min((e for e in rel.terms), default=None)
-        if step is not None:
-            m = 1
-            while m * step < known:
-                acc = (acc * rel).truncate(known)
-                if acc.is_zero():
-                    break
-                out = out + acc
-                m += 1
-        out = out.truncate(known)
-        return FracLaurent(
-            self.var, self.k, {e - v: c * linv for e, c in out.terms.items()}, known - v
+        elif order is None:
+            order = self.trunc - v
+        # self = (1 + u) / lead
+        u = FracLaurent(
+            self.var,
+            self.k,
+            {e - v: c * linv for e, c in self.terms.items() if e != v},
+            None if self.trunc is None else self.trunc - v,
         )
+        return binomial_expand(lead, u, -1, order)
 
     def truncate(self, order) -> "FracLaurent":
         order = Fraction(order)
@@ -368,23 +355,14 @@ def binomial_expand(lead_pow, rel: FracLaurent, r: Fraction, order) -> "FracLaur
 
     ``rel`` must already be u/c (the caller divides by the leading term) and
     ``lead_pow`` must be the exact value of c^r (a scalar or monomial series).
+    The sum is the binomial series composed with ``rel``, so it is known to
+    relative order ``order`` and to no more than rel.trunc justifies.
     """
-    r = Fraction(r)
-    order = Fraction(order)
-    out = FracLaurent.one(rel.var, rel.k)
-    power = FracLaurent.one(rel.var, rel.k)
-    m = 1
     step = rel.valuation()
-    if step is not None:
-        if step <= 0:
-            raise ValueError("relative part must vanish at 0")
-        while m * step < order:
-            power = (power * rel).truncate(order)
-            if power.is_zero():
-                break
-            out = out + power.scale(binomial(r, m))
-            m += 1
-    out = out.truncate(order)
+    # C(r, m) for every m with m * step < order, the only terms compose reads
+    n = max(-(-order // step), 1) if step else 1
+    series = FracLaurent(rel.var, 1, {m: binomial(r, m) for m in range(n)}, n)
+    out = series.compose(rel, order)
     if isinstance(lead_pow, FracLaurent):
         if lead_pow.var != rel.var:
             raise ValueError("leading factor must share the expansion variable")

@@ -10,10 +10,11 @@ block on sphere A (w at 0, the Casimir's dual leg at infinity) times one on
 sphere B (the Casimir leg at 0, w' at infinity), sewn along those legs, with
 insertions on both spheres away from the sewing discs.  The sewn-then-
 propagated side is evaluated from the free-boson oracle as a rational
-function of q and expanded.  On the propagated-then-sewn side the block is
-<X, m'_a> B(m_a) with X the A-sphere fields applied to w, so linearity
-contracts each Casimir shell into one propagation: q^g has coefficient
-B(X_g).  The two sides are compared coefficient-by-coefficient in q.
+function of q and expanded in one pass to the q-order the comparison
+reads.  On the propagated-then-sewn side the block is <X, m'_a> B(m_a)
+with X the A-sphere fields applied to w, so linearity contracts each
+Casimir shell into one propagation: q^g has coefficient B(X_g).  The two
+sides are compared coefficient-by-coefficient in q.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def casimir_shells(module, grade: int):
     ]
 
 
-def sew(block_fn, module, q_cutoff: int, qvar: str = "q") -> FracLaurent:
+def sew(block_fn, module, q_cutoff: int) -> FracLaurent:
     """sum_{n <= N} q^n sum_a block_fn(m(n,a), m-dual(n,a)).
 
     ``block_fn`` must close over the fixed W-arguments of the block and
@@ -43,7 +44,7 @@ def sew(block_fn, module, q_cutoff: int, qvar: str = "q") -> FracLaurent:
     terms = {}
     for g in range(q_cutoff + 1):
         terms[g] = sum(block_fn(m, md) for m, md in casimir_shells(module, g))
-    return FracLaurent(qvar, 1, terms, trunc=q_cutoff + 1)
+    return FracLaurent("q", 1, terms, trunc=q_cutoff + 1)
 
 
 def converge_diag(series: FracLaurent, q0) -> dict:
@@ -82,7 +83,7 @@ def converge_diag(series: FracLaurent, q0) -> dict:
 
 
 def sew_propagate_commute_check(
-    vs_a, za, vs_b, zb, w: GradedVector, wp: GradedVector, q_cutoff: int, grade_cutoff: int, qvar: str = "q"
+    vs_a, za, vs_b, zb, w: GradedVector, wp: GradedVector, q_cutoff: int, grade_cutoff: int
 ):
     """Both sides of the sewing/propagation commutation as q-series.
 
@@ -94,6 +95,9 @@ def sew_propagate_commute_check(
     sphere it is an exact finite sum; with more, inner insertions are cut
     at ``grade_cutoff`` and the discrepancy shrinks as the cutoff grows.
     """
+    for v in list(vs_a) + list(vs_b):
+        if v.homogeneous_weight() is None:
+            raise ValueError("insertion vectors must be homogeneous")
     za = radial_points(vs_a, za)
     state = w
     for i, (v, z) in enumerate(zip(vs_a, za)):
@@ -108,8 +112,8 @@ def sew_propagate_commute_check(
             raise CutoffOverflow(needed, grade_cutoff)
         if g in comps:
             terms[g] = propagate_eval(vs_b, zb, comps[g], wp, grade_cutoff).value
-    lhs = FracLaurent(qvar, 1, terms, trunc=q_cutoff + 1)
-    rhs = _sewn_block_expansion(vs_a, za, vs_b, zb, w, wp, q_cutoff, qvar)
+    lhs = FracLaurent("q", 1, terms, trunc=q_cutoff + 1)
+    rhs = _sewn_block_expansion(vs_a, za, vs_b, zb, w, wp, q_cutoff)
 
     max_disc = 0.0
     ok = True
@@ -121,34 +125,20 @@ def sew_propagate_commute_check(
     return ok, max_disc, lhs, rhs
 
 
-def _sewn_block_expansion(vs_a, za, vs_b, zb, w, wp, q_cutoff, qvar):
+def _sewn_block_expansion(vs_a, za, vs_b, zb, w, wp, q_cutoff):
     """Laurent expansion in q of the propagated sewn block: the oracle
     rational function at A-points scaled by q, with the A-side insertion
-    weights and the weight of w supplying the trivialization powers of q."""
-    for v in list(vs_a) + list(vs_b):
-        if v.homogeneous_weight() is None:
-            raise ValueError("insertion vectors must be homogeneous")
+    weights and the weight of w supplying the trivialization powers of q.
+    The insertions are homogeneous (checked by the caller)."""
     shift_ins = sum(v.homogeneous_weight() for v in vs_a)
     points = {}
     for i, z in enumerate(za):
-        points[i] = FracLaurent.monomial(qvar, 1, z)
+        points[i] = FracLaurent.monomial("q", 1, z)
     for j, z in enumerate(zb):
-        points[len(za) + j] = FracLaurent(qvar, 1, {Fraction(0): z})
-    out = FracLaurent.zero(qvar, 1, trunc=q_cutoff + 1)
+        points[len(za) + j] = FracLaurent("q", 1, {Fraction(0): z})
+    out = FracLaurent.zero("q", 1, trunc=q_cutoff + 1)
     for h, w_part in w.weight_components().items():
         expr_h = heisenberg_correlator(list(vs_a) + list(vs_b), w_part, wp)
-        series = _expand_to(expr_h, points, qvar, q_cutoff + 1 - h - shift_ins)
+        series = expr_h.substitute(points, "q", trunc=q_cutoff + 1 - h - shift_ins)
         out = out + series.shift(h + shift_ins)
-    return out.truncate(q_cutoff + 1)
-
-
-def _expand_to(expr, points, qvar, order_needed):
-    # A term's exact monomial prefactor can shift its truncation down, so
-    # widen the per-factor binomial order until the target is reached.
-    order = max(order_needed, 1)
-    for _ in range(12):
-        series = expr.substitute(points, qvar, order=order)
-        if series.trunc is None or series.trunc >= order_needed:
-            return series.truncate(order_needed)
-        order += int(order_needed - series.trunc) + 2
-    raise RuntimeError("q-expansion failed to reach the requested order")
+    return out

@@ -295,9 +295,8 @@ def product_expansion_check(tw: TwistedModule, u: GradedVector, v_slots, w, wp, 
     wt_u = u.homogeneous_weight()
     wt_v1 = v_slots[0].homogeneous_weight()
     depth = wt_u + wt_v1 + w.max_weight() + 2  # deepest possible pole in kappa
-    work = order + depth + 4
     rel = FracLaurent.monomial(kv, 1, reciprocal(xi))
-    z1 = binomial_expand(s_xi, rel, Fraction(1, k), work)
+    z1 = binomial_expand(s_xi, rel, Fraction(1, k), order + depth)
     xipts = _root_points(k, s_xi)
     cu = _chart_corrected(k, u, z1)
     cv = [_chart_corrected(k, v, p) for v, p in zip(v_slots, xipts)]
@@ -305,7 +304,7 @@ def product_expansion_check(tw: TwistedModule, u: GradedVector, v_slots, w, wp, 
     pts = {0: z1}
     for i, p in enumerate(xipts):
         pts[i + 1] = FracLaurent(kv, 1, {Fraction(0): p})
-    lhs = expr.substitute(pts, kv, order=work).truncate(order)
+    lhs = expr.substitute(pts, kv, trunc=order)
 
     rhs = FracLaurent.zero(kv, 1, trunc=order)
     for m in range(-order - 1, wt_u + wt_v1):
@@ -316,8 +315,7 @@ def product_expansion_check(tw: TwistedModule, u: GradedVector, v_slots, w, wp, 
         total = tw._matrix_series(composed, w, wp).evaluate(s_xi)
         if total:
             rhs = rhs + FracLaurent.monomial(kv, -m - 1, total)
-    rhs = rhs.truncate(order)
-    ok = (lhs - rhs).truncate(order).is_zero()
+    ok = (lhs - rhs).is_zero()
     return ok, lhs, rhs
 
 

@@ -123,6 +123,13 @@ def test_radial_ordering_enforced():
         propagate_eval([A, A], [rat(2), rat(1)], VW, VP, cutoff=10)
     with pytest.raises(ValueError):
         propagate_eval([A], [rat(0)], VW, VP, cutoff=10)
+    with pytest.raises(ValueError, match="modulus of the point"):
+        propagate_eval([A], [Scalar.root_of_unity(3)], VW, VP, cutoff=10)
+
+
+def test_permutation_check_refuses_a_point_without_a_rational_modulus():
+    with pytest.raises(ValueError, match="modulus of the point"):
+        permutation_check([A, A], [Scalar.root_of_unity(3), rat(2)], VW, VP)
 
 
 def test_permutation_check():
@@ -380,9 +387,28 @@ def test_infinity_twist_matches_oracle_reexpansion():
     _, _, sinf = _block_section_data(u, v, w, wp, z0, 8, 8)
     expr = heisenberg_correlator([u, v], w, wp)
     sub = expr.substitute(
-        {0: FracLaurent.monomial("z", -1), 1: FracLaurent("z", 1, {0: z0})}, "z", order=30
+        {0: FracLaurent.monomial("z", -1), 1: FracLaurent("z", 1, {0: z0})}, "z", trunc=8
     )
-    assert sub.truncate(8) == sinf
+    assert sub == sinf
+
+
+def test_truncated_point_caps_the_substituted_truncation():
+    # (z0 - z1)^-2 at z0 = z + z^2 + O(z^3), z1 = 2: nothing is known from
+    # z^3 on, however far the expansion is asked to reach
+    expr = heisenberg_correlator([A, A], VW, VP)
+    const = FracLaurent("z", 1, {0: 2})
+    got = expr.substitute({0: FracLaurent("z", 1, {1: 1, 2: 1}, trunc=3), 1: const}, "z", trunc=10)
+    exact = expr.substitute({0: FracLaurent("z", 1, {1: 1, 2: 1}), 1: const}, "z", trunc=10)
+    assert got.trunc == 3
+    assert got == exact.truncate(3)
+
+
+def test_substitute_refuses_coincident_points():
+    expr = heisenberg_correlator([A, A], VW, VP)
+    const = FracLaurent("z", 1, {0: 2})
+    for trunc in (None, 4):
+        with pytest.raises(ZeroDivisionError):
+            expr.substitute({0: const, 1: const}, "z", trunc=trunc)
 
 
 def test_block_data_passes_residue_criterion():

@@ -190,6 +190,28 @@ def test_binomial_expand_sqrt():
     assert sq == (FracLaurent.one("z") + rel).truncate(4)
 
 
+def test_binomial_expand_claims_no_unknown_terms():
+    # rel = 0 + O(z^2): its terms from z^2 on are unknown, and so are those
+    # of every power C(1/2, m) rel^m
+    rel = FracLaurent("z", 1, {}, trunc=2)
+    s = binomial_expand(Scalar.integer(1), rel, Fraction(1, 2), 5)
+    assert s == FracLaurent("z", 1, {0: 1}, trunc=2)
+
+
+def test_geometric_expansion_inverts_one_plus_rel_randomized():
+    # (1 + rel)^-1 times (1 + rel) is 1 below the expansion's own trunc, for
+    # exact, truncated and truncated-zero rel
+    rng = random.Random(19)
+    for _ in range(60):
+        rel = _random_series(rng, span=(1, 5), trunc=rng.choice([None, 2, 4, 7]))
+        if rng.random() < 0.25:
+            rel = FracLaurent("z", 1, {}, trunc=rng.randint(1, 6))
+        order = rng.randint(0, 8)
+        inv = binomial_expand(Scalar.integer(1), rel, -1, order)
+        assert inv.trunc <= order
+        assert (inv * (1 + rel)).truncate(inv.trunc) == FracLaurent.one("z").truncate(inv.trunc)
+
+
 def test_evaluate_and_json():
     f = FracLaurent("z", 1, {-1: Scalar.rational(1, 2), 2: Scalar.root_of_unity(3)})
     x = Scalar.rational(2, 3)

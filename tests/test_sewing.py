@@ -192,25 +192,60 @@ def test_two_insertions_on_a_sphere_converge_in_the_grade_cutoff(monkeypatch):
     # the inner of two insertions on sphere A is cut at grade_cutoff, so the
     # propagated-then-sewn side is a truncated sum: its mismatch with the
     # exact sewn oracle falls with the cutoff while the oracle side stays put
-    orders = []
+    calls = []
     substitute = RationalExpr.substitute
 
-    def recorded(self, points, var, order=None):
-        orders.append(order)
-        return substitute(self, points, var, order)
+    def recorded(self, points, var, trunc=None):
+        out = substitute(self, points, var, trunc)
+        calls.append((trunc, out.trunc))
+        return out
 
     monkeypatch.setattr(RationalExpr, "substitute", recorded)
+    w = st(W, (1,))
     (ok20, disc20, _, rhs20), (ok30, disc30, _, rhs30) = [
         sew_propagate_commute_check(
-            [A, A], [rat(1, 5), rat(1, 2)], [A], [rat(2)], st(W, (1,)), vac(WD), 8, cutoff
+            [A, A], [rat(1, 5), rat(1, 2)], [A], [rat(2)], w, vac(WD), 8, cutoff
         )
         for cutoff in (20, 30)
     ]
     assert not ok20 and not ok30
     assert 0 < 100 * disc30 <= disc20
     assert rhs20.terms == rhs30.terms and rhs20.trunc == rhs30.trunc
-    # the q-expansion of the oracle side had to widen its binomial order
-    assert max(orders) > min(orders)
+    # the q-expansion of the oracle side asks once per weight of w for the
+    # truncation it needs, and gets it
+    assert len(calls) == 2 * len(w.weight_components())
+    assert all(trunc is not None and got == trunc for trunc, got in calls)
+
+
+def test_non_homogeneous_insertion_is_refused_before_any_propagation(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return propagate_eval(*args)
+
+    monkeypatch.setattr(sewing, "propagate_eval", counted)
+    with pytest.raises(ValueError, match="homogeneous"):
+        sew_propagate_commute_check([A + vac(H)], [rat(1, 3)], [A], [rat(2)], st(W, (1,)), vac(WD), 8, 12)
+    assert calls == []
+
+
+@pytest.mark.parametrize("vs_a, za, vs_b, zb", [
+    ([A], [rat(1, 3)], [A], [rat(3, 2)]),
+    ([st(H, (2,))], [rat(1, 4)], [A], [rat(2)]),
+    ([A, st(H, (2,))], [rat(1, 5), rat(1, 2)], [A], [rat(2)]),
+])
+def test_sewn_expansion_reaches_exactly_the_requested_truncation(vs_a, za, vs_b, zb):
+    # criterion-6 correlators, and two insertions on A, at the sewing points
+    # (q z_A, constant z_B): the expansion is known below q^T, and widening
+    # it changes nothing there
+    points = {i: FracLaurent.monomial("q", 1, z) for i, z in enumerate(za)}
+    points.update({len(za) + j: FracLaurent("q", 1, {0: z}) for j, z in enumerate(zb)})
+    expr = heisenberg_correlator(vs_a + vs_b, st(W, (1,)), st(WD, (1,)))
+    for T in (-2, 0, 3, 9):
+        got = expr.substitute(points, "q", trunc=T)
+        assert got.trunc == T
+        assert got == expr.substitute(points, "q", trunc=T + 20).truncate(T)
 
 
 def test_converge_diag_geometric():

@@ -395,6 +395,7 @@ def test_product_expansion_consistency():
         tw = TwistedModule(W, k)
         ok, lhs, rhs = product_expansion_check(tw, u, v_slots, w, wp, rat(1, 2), order=4)
         assert ok, (k, lhs, rhs)
+        assert lhs.trunc == 4
         assert not lhs.is_zero()
 
 
