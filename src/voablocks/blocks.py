@@ -59,7 +59,7 @@ class RationalExpr:
         self.terms = {}
         for key, c in (terms or {}).items():
             c = stored(c)
-            if c:
+            if c or (isinstance(c, FracLaurent) and c.trunc is not None):  # a truncated zero is no zero
                 self.terms[key] = c
 
     @staticmethod
@@ -154,7 +154,7 @@ class RationalExpr:
             factors = [(pts[i], e) for i, e in zp] + [(pts[i] - pts[j], e) for (i, j), e in dp]
             order = None
             if trunc is not None:
-                low = val.valuation()
+                low = _lower_bound(val)
                 for f, e in factors:
                     bound = _lower_bound(f)
                     if bound is None:  # an exact-zero factor

@@ -25,7 +25,7 @@ from .blocks import (
     residue_criterion,
 )
 from .coordchange import solve_coefficients
-from .scalars import Scalar, ScalarError
+from .scalars import MAX_CYCLOTOMIC_ORDER, Scalar, ScalarError
 from .series import FracLaurent
 from .sewing import sew, sew_propagate_commute_check
 from .twist import TwistedModule, check_equivariance, check_grading, check_jacobi
@@ -146,8 +146,9 @@ class RunConfig:
         if not isinstance(cfg.params.get("expect", True), bool):
             raise ConfigError("params.expect", "must be true or false")
         ks = cfg.params.get("k", 1)
-        if not all(isinstance(k, int) and k >= 1 for k in (ks if isinstance(ks, list) else [ks])):
-            raise ConfigError("params.k", "must be a positive integer")
+        ks = ks if isinstance(ks, list) else [ks]
+        if not all(isinstance(k, int) and 1 <= k <= MAX_CYCLOTOMIC_ORDER for k in ks):
+            raise ConfigError("params.k", f"must be an integer from 1 to {MAX_CYCLOTOMIC_ORDER}")
         return cfg
 
 

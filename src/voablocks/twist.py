@@ -17,7 +17,8 @@ one implementation.  The generator formula (one non-vacuum slot, any base
 algebra reachable through coordinate changes) is ``slot_mode_apply``; the
 generator path's modes and series are its slot-0 sum and the pairings of
 that sum.  The k-point oracle (Heisenberg, any slots) is ``pairing_series``,
-extended bilinearly to vectors w and w' by ``_matrix_series``.
+extended bilinearly to vectors w and w' by ``_matrix_series``.  A module
+computes each generator-formula mode on a basis state once.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 
 from .blocks import _apply_field, heisenberg_correlator
 from .coordchange import apply_coord_change, kth_root_shift
-from .scalars import Scalar, exact_pow, reciprocal, stored
+from .scalars import MAX_CYCLOTOMIC_ORDER, Scalar, exact_pow, reciprocal, stored
 from .series import FracLaurent, binomial_expand
 from .voa import (
     CutoffOverflow,
@@ -34,6 +35,7 @@ from .voa import (
     GradedVector,
     HeisenbergAlgebra,
     TensorPowerAlgebra,
+    _acc,
     _pairing,
     cycle_rotate,
     dual_of,
@@ -64,9 +66,12 @@ class TwistedModule:
     """The g-twisted V^(x)k-module structure on a Heisenberg Fock module W.
 
     The twisted grading operator is (1/k) of the grading of W, so twisted
-    weights lie in (1/k)N with finite-dimensional eigenspaces.  Mode data is
-    populated lazily and memoized per (vector, in-state, out-state), and each
-    chart-corrected slot vector per exact (base monomial, slot)."""
+    weights lie in (1/k)N with finite-dimensional eigenspaces.  Three caches
+    fill lazily, each keyed on exact values: ``_series`` holds the oracle
+    series per (u's terms, w monomial, w' monomial), ``_slot_modes`` the
+    generator formula's stored terms per (base monomial, slot, kn, w
+    monomial), ``_corrected`` the chart-corrected slot vector per (base
+    monomial, slot).  A value is stored only once computed in full."""
 
     def __init__(self, module: FockModule, k: int):
         if not isinstance(module.algebra, HeisenbergAlgebra):
@@ -76,13 +81,15 @@ class TwistedModule:
             )
         if k < 1:
             raise ValueError(f"the twist order k must be a positive integer, got {k}")
+        if k > MAX_CYCLOTOMIC_ORDER:
+            raise ValueError(f"the twist order k={k} exceeds the cyclotomic limit {MAX_CYCLOTOMIC_ORDER}")
         self.module = module
         self.k = k
         self.tensor = TensorPowerAlgebra(module.algebra, k)
         self.dual = dual_of(module)
         self._t_points = _root_points(k, FracLaurent.variable(TVAR))
         self._series = {}
-        self._gen_series = {}
+        self._slot_modes = {}
         self._corrected = {}
 
     # ---- gradings ------------------------------------------------------
@@ -136,21 +143,15 @@ class TwistedModule:
         k h + wt(w) - kn - k, so it meets w' through one mode kn alone."""
         if v.space is not self.tensor.base:
             raise ValueError("v must live in the base algebra")
-        key = (frozenset(v.terms.items()), w_mono, wp_mono)
-        hit = self._gen_series.get(key)
-        if hit is not None:
-            return hit
         k = self.k
         w = GradedVector.state(self.module, w_mono)
         wp = GradedVector.state(self.dual, wp_mono)
         gap = self.module.weight(w_mono) - self.module.weight(wp_mono) - k
-        total = FracLaurent.zero(TVAR, 1)
+        terms = {}
         for h, part in v.weight_components().items():
             kn = k * h + gap
-            val = _pairing(self.generator_mode_apply(part, Fraction(kn, k), w), wp)
-            total = total + FracLaurent.monomial(TVAR, -kn - k, val)
-        self._gen_series[key] = total
-        return total
+            terms[-kn - k] = _pairing(self.generator_mode_apply(part, Fraction(kn, k), w), wp)
+        return FracLaurent(TVAR, 1, terms)
 
     # ---- modes -----------------------------------------------------------
 
@@ -172,36 +173,55 @@ class TwistedModule:
         nz = [(i, m) for i, m in enumerate(mono) if m != ()] or [(0, ())]
         return nz[0] if len(nz) == 1 else None
 
+    def _slot_mode(self, v_mono, slot: int, kn: int, w_mono) -> dict:
+        # the stored terms of Y^g(v_mono in slot)_{kn/k} on the basis state
+        # w_mono: the generator formula at the root point w_k^slot t, stored
+        # once it is computed in full
+        key = (v_mono, slot, kn, w_mono)
+        hit = self._slot_modes.get(key)
+        if hit is None:
+            x = self.slot_corrected(v_mono, slot)
+            phase_base = self._t_points[slot].stored_coeff(1)  # w_k^slot, the root point's coefficient
+            w = GradedVector(self.module, {w_mono: 1})
+            out = {}
+            for b, coef in x.terms.items():
+                bvec = GradedVector.state(self.tensor.base, b)
+                exps = coef.terms.items() if isinstance(coef, FracLaurent) else [(Fraction(0), coef)]
+                for e, ce in exps:
+                    m = int(e) + kn + self.k - 1
+                    phase = ce * exact_pow(phase_base, -m - 1)
+                    for mono, c in mode_action(bvec, m, w).terms.items():
+                        _acc(out, mono, c * phase)
+            hit = self._slot_modes[key] = GradedVector(self.module, out).terms
+        return hit
+
+    def _add_slot_modes(self, out: dict, v_mono, slot: int, kn: int, w: GradedVector, coef=1) -> dict:
+        # out += coef Y^g(v_mono in slot)_{kn/k} w, monomial by monomial of w
+        for wm, wc in w.terms.items():
+            c = coef * wc
+            for mono, x in self._slot_mode(v_mono, slot, kn, wm).items():
+                _acc(out, mono, x * c)
+        return out
+
     def slot_mode_apply(self, v_mono, slot: int, n, w: GradedVector) -> GradedVector:
         """Y^g of a vector occupying one tensor slot: the generator formula
         carried to the root point w_k^slot t, so only mode actions of the
         base algebra are needed."""
         kn = int(self.k * self.mode_index_lattice(n))
-        x = self.slot_corrected(v_mono, slot)
-        phase_base = self._t_points[slot].stored_coeff(1)  # w_k^slot, the root point's coefficient
-        out = GradedVector(self.module)
-        for b, coef in x.terms.items():
-            bvec = GradedVector.state(self.tensor.base, b)
-            exps = coef.terms.items() if isinstance(coef, FracLaurent) else [(Fraction(0), coef)]
-            for e, ce in exps:
-                m = int(e) + kn + self.k - 1
-                acted = mode_action(bvec, m, w)
-                if not acted.is_zero():
-                    out = out + acted.scale(ce * exact_pow(phase_base, -m - 1))
-        return out
+        return GradedVector(self.module, self._add_slot_modes({}, tuple(v_mono), slot, kn, w))
 
     def mode_apply(self, u: GradedVector, n, w: GradedVector) -> GradedVector:
         """Y^g(u)_n w; single-slot tensor monomials go through the generator
         formula, genuinely multi-slot ones through the k-point oracle."""
         n = self.mode_index_lattice(n)
         kn = int(self.k * n)
-        out = GradedVector(self.module)
+        out = {}
         oracle_parts = {}
         for mono, coef in u.terms.items():
             single = self._single_slot(mono)
             if single is not None:
                 slot, vm = single
-                out = out + self.slot_mode_apply(vm, slot, n, w).scale(coef)
+                self._add_slot_modes(out, vm, slot, kn, w, coef)
             else:
                 oracle_parts[mono] = coef
         if oracle_parts:
@@ -217,16 +237,17 @@ class TwistedModule:
                         for out_mono in self.module.basis(target):
                             val = self.pairing_series(u_part, wm, out_mono).stored_coeff(-kn - self.k)
                             if val:
-                                out = out + GradedVector.state(self.module, out_mono, val * wc)
-        return out
+                                _acc(out, out_mono, val * wc)
+        return GradedVector(self.module, out)
 
     def generator_mode_apply(self, v: GradedVector, n, w: GradedVector) -> GradedVector:
         """Y^g(v (x) 1 ... (x) 1)_n w through the generator formula: the
         slot-0 case of ``slot_mode_apply``, whose root point is t itself."""
-        out = GradedVector(self.module)
+        kn = int(self.k * self.mode_index_lattice(n))
+        out = {}
         for vm, c in v.terms.items():
-            out = out + self.slot_mode_apply(vm, 0, n, w).scale(c)
-        return out
+            self._add_slot_modes(out, vm, 0, kn, w, c)
+        return GradedVector(self.module, out)
 
     def mode_support(self, u: GradedVector, w: GradedVector, wp: GradedVector):
         """All n with <Y^g(u)_n w, w'> nonzero, from the generating series."""
@@ -341,20 +362,19 @@ def check_grading(tw: TwistedModule, vectors, states, n_values) -> bool:
     Sampled over the given tensor vectors, module states, and mode indices;
     homogeneity of images (the weight-shift rule) is what the bracket
     amounts to, and is what gets verified literally here."""
+    scaled = [(w, _scale_by_twisted_weight(tw, w)) for w in states]
     for u in vectors:
-        for w in states:
+        alpha = u.homogeneous_weight()
+        for w, l0_w in scaled:
             for n in n_values:
                 n = Fraction(n)
                 try:
                     img = tw.mode_apply(u, n, w)
                 except CutoffOverflow:
                     continue
-                lhs = _scale_by_twisted_weight(tw, img) - tw.mode_apply(
-                    u, n, _scale_by_twisted_weight(tw, w)
-                )
-                alpha = u.homogeneous_weight()
+                lhs = _scale_by_twisted_weight(tw, img) - tw.mode_apply(u, n, l0_w)
                 rhs = img.scale(Fraction(alpha) - n - 1)
-                if not (lhs - rhs).is_zero():
+                if lhs != rhs:
                     return False
     return True
 
@@ -411,13 +431,14 @@ def check_jacobi(
     # v and w are homogeneous
     wt_wp = wp.homogeneous_weight()
     top = k * (u.max_weight() + v.max_weight() - 2) + w.max_weight()
+    hs = [(h, int(k * h)) for h in map(tw.mode_index_lattice, h_values)]
     for j, uj in eigencomponents(u, k).items():
         instances = [
-            (mu, n, h)
-            for mu in (Fraction(j, k) + m for m in m_values)
+            (Fraction(j, k) + m, n, h)
+            for m in m_values
             for n in n_values
-            for h in map(Fraction, h_values)
-            if top - int(k * (mu + n + h)) == wt_wp
+            for h, kh in hs
+            if top - (j + k * (m + n) + kh) == wt_wp
         ]
         for diff in jacobi_sweep(tw.mode_apply, uj, v, w, instances, k):
             val = dual_pairing(diff, wp)

@@ -480,8 +480,8 @@ class GradedVector:
     (when integral), a ``Fraction``, a cyclotomic ``Scalar``, or a FracLaurent
     series when a formal parameter rides along (e.g. coordinate-change
     images inside the twisted machinery).  The constructor copies its input,
-    brings every value to that one type and drops zeros, so equal vectors
-    have equal ``terms`` items, hashes included.
+    brings every value to that one type and drops exact zeros (not a truncated
+    zero series), so equal vectors have equal ``terms`` items, hashes included.
     """
 
     __slots__ = ("space", "terms")
@@ -492,7 +492,7 @@ class GradedVector:
         for m, c in (terms or {}).items():
             if type(c) is not int:
                 c = stored(c)
-            if c:
+            if c or (isinstance(c, FracLaurent) and c.trunc is not None):  # a truncated zero is no zero
                 clean[m] = c
         self.terms = clean
 

@@ -7,6 +7,7 @@ from support import fock, heis, pair_field, rat, st, vac
 from voablocks import linalg
 from voablocks.blocks import (
     INF,
+    RationalExpr,
     _apply_field,
     _tail_estimate,
     heisenberg_correlator,
@@ -401,6 +402,21 @@ def test_truncated_point_caps_the_substituted_truncation():
     exact = expr.substitute({0: FracLaurent("z", 1, {1: 1, 2: 1}), 1: const}, "z", trunc=10)
     assert got.trunc == 3
     assert got == exact.truncate(3)
+
+
+def test_truncated_zero_coefficient_keeps_its_truncation():
+    # O(z^3) is no exact zero: it survives construction, and substituting
+    # it gives O(z^3), with or without a requested truncation above it
+    term = RationalExpr.term(FracLaurent("z", 1, {}, trunc=3))
+    assert not term.is_zero()
+    for trunc in (None, 5):
+        got = term.substitute({}, "z", trunc=trunc)
+        assert got.is_zero() and got.trunc == 3
+    got = RationalExpr.term(FracLaurent("z", 1, {}, trunc=3), zpows={0: -1}).substitute(
+        {0: FracLaurent.monomial("z", 1)}, "z", trunc=5
+    )
+    assert got.is_zero() and got.trunc == 2
+    assert RationalExpr.term(FracLaurent("z", 1, {})).is_zero()
 
 
 def test_substitute_refuses_coincident_points():

@@ -141,6 +141,15 @@ def test_twist_check_k1_passes(tmp_path):
     assert "path-agreement\t1\tpass" in _read(out)
 
 
+@pytest.mark.parametrize("subcommand", ["twist-check", "twist-modes"])
+def test_twist_order_above_the_cyclotomic_limit_is_refused(subcommand, capsys):
+    # k = 1001 used to run for minutes building the root points
+    assert main([subcommand, "--k", "1001", "--grade", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "config error at params.k: must be an integer from 1 to 1000\n"
+
+
 def test_jacobi_check_small(tmp_path):
     out = tmp_path / "j.tsv"
     assert main(["jacobi-check", "--grade", "1", "--cutoff-grade", "12", "--out", str(out)]) == 0

@@ -97,3 +97,26 @@ def test_import_path_skips_dataclasses():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# the top-level stdlib modules that ``import voablocks, voablocks.cli`` loads
+# today; every new one is start-up time that each CLI run and benchmark
+# set-up pays.  Their "_"-prefixed parts (_json, _decimal, _sre for re,
+# _collections_abc for collections.abc) come with them
+IMPORT_BUDGET = set(
+    "__future__ argparse cmath collections copyreg decimal enum fractions functools genericpath gettext "
+    "itertools json keyword math numbers operator os posixpath re reprlib stat types warnings".split()
+)
+IMPORT_PARTS = {"_sre", "_collections_abc"}
+
+
+def test_import_path_stays_within_its_stdlib_budget():
+    code = (
+        "import sys; before = set(sys.modules); import voablocks, voablocks.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    tops = {name.partition(".")[0] for name in out.stdout.split()} - {"voablocks"}
+    extra = sorted(t for t in tops if t not in IMPORT_BUDGET | IMPORT_PARTS and t[1:] not in IMPORT_BUDGET)
+    assert not extra, f"the import path loads stdlib modules outside its budget: {extra}"

@@ -20,6 +20,7 @@ from voablocks.twist import (
     product_expansion_check,
 )
 from voablocks.voa import (
+    CutoffOverflow,
     GradedVector,
     VirasoroAlgebra,
     cycle_rotate,
@@ -132,14 +133,56 @@ def test_slot_modes_match_the_oracle_at_every_slot(momentum):
 
 def test_slot_outside_the_twist_order_is_refused():
     # at k = 2 slot 2 used to alias slot 0 and slot -1 slot 1, each cached
-    # under a key of its own
+    # under a key of its own; a refused slot adds nothing to either cache,
+    # of a fresh module or of one whose caches hold the valid slots
+    fresh, warm = TwistedModule(W, 2), TwistedModule(W, 2)
+    for slot in range(2):
+        warm.slot_mode_apply((1,), slot, Fraction(1, 2), st(W, (1,)))
+    for tw in (fresh, warm):
+        before = (dict(tw._corrected), dict(tw._slot_modes))
+        for slot in (2, -1, 5):
+            with pytest.raises(ValueError, match="slot"):
+                tw.slot_corrected((1,), slot)
+            with pytest.raises(ValueError, match="slot"):
+                tw.slot_mode_apply((1,), slot, Fraction(1, 2), st(W, (1,)))
+        assert (tw._corrected, tw._slot_modes) == before
+    assert not fresh._corrected and not fresh._slot_modes
+    assert warm._slot_modes
+
+
+def test_cutoff_overflow_stores_no_slot_mode():
+    # Y^g(a in slot 1)_{-3/2} maps grade b to grade b + 3: a_{-1}|0> fits
+    # the cutoff 4, a_{-2}a_{-1}|0> does not
+    W4 = fock(heis(4), 0)
+    tw = TwistedModule(W4, 2)
+    n, low, high = Fraction(-3, 2), st(W4, (1,)), st(W4, (2, 1))
+    assert not tw.slot_mode_apply((1,), 1, n, low).is_zero()
+    before = dict(tw._slot_modes)
+    for _ in range(2):
+        with pytest.raises(CutoffOverflow):
+            tw.slot_mode_apply((1,), 1, n, low + high)
+        assert tw._slot_modes == before
+
+
+def test_second_grading_check_makes_no_base_mode_action(monkeypatch):
+    # every twisted mode of the second check is a slot-mode memo hit
+    calls = []
+    original = twist.mode_action
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(twist, "mode_action", counted)
     tw = TwistedModule(W, 2)
-    for slot in (2, -1, 5):
-        with pytest.raises(ValueError, match="slot"):
-            tw.slot_corrected((1,), slot)
-        with pytest.raises(ValueError, match="slot"):
-            tw.slot_mode_apply((1,), slot, Fraction(1, 2), st(W, (1,)))
-    assert not tw._corrected
+    gen_vecs = [tensor_vector(tw.tensor, [st(H, m), VAC]) for g in range(1, 4) for m in H.basis(g)]
+    states = [st(W, m) for g in range(0, 3) for m in W.basis(g)]
+    ns = [Fraction(m, 2) for m in range(-4, 5)]
+    assert check_grading(tw, gen_vecs, states, ns)
+    assert calls
+    calls.clear()
+    assert check_grading(tw, gen_vecs, states, ns)
+    assert not calls
 
 
 def test_weight_band():
@@ -174,6 +217,10 @@ def test_grading_axiom():
         states = [st(W, m) for g in range(0, 3) for m in W.basis(g)]
         ns = [Fraction(m, k) for m in range(-2 * k, 2 * k + 1)]
         assert check_grading(tw, gen_vecs, states, ns)
+        # the mode one step up shifts the weight by 1/k less than n claims
+        exact = tw.mode_apply
+        tw.mode_apply = lambda x, p, y: exact(x, p + Fraction(1, k), y)
+        assert not check_grading(tw, gen_vecs, states, ns)
 
 
 def test_equivariance_axiom():
@@ -288,6 +335,14 @@ def test_twisted_jacobi_k1_is_the_untwisted_identity():
 def test_twist_order_must_be_positive():
     for k in (0, -2):
         with pytest.raises(ValueError, match="positive"):
+            TwistedModule(W, k)
+
+
+def test_twist_order_above_the_cyclotomic_limit_is_refused():
+    # the root points of a larger k would need cyclotomic fields the scalars
+    # refuse; building them used to run for minutes
+    for k in (1001, 10**9):
+        with pytest.raises(ValueError, match="exceeds"):
             TwistedModule(W, k)
 
 
@@ -482,23 +537,28 @@ _SERIES_MODULE = fock(H, rat(2, 3))  # the zero mode makes more pairings nonzero
 
 
 def _series_query(twm, kind, scale, i, j, l):
-    """One series of ``twm``: scale times the i-th base vector, as the
-    generator-path input or in one slot of a tensor vector, between the j-th
-    and l-th states."""
+    """One query of ``twm`` on scale times the i-th base vector: as the
+    generator-path input or in one slot of a tensor vector, the series
+    between the j-th and l-th states; or, for ``"mode"``, the mode
+    (l - 4)/k of that tensor vector on the j-th and next state, summed."""
     v = _SERIES_BASE[i % len(_SERIES_BASE)].scale(scale)
     w_mono, wp_mono = _SERIES_STATES[j % len(_SERIES_STATES)], _SERIES_STATES[l % len(_SERIES_STATES)]
     if kind == "generator":
         return twm.generator_series(v, w_mono, wp_mono)
     factors = [VAC] * twm.k
     factors[i % twm.k] = v
-    return twm.pairing_series(tensor_vector(twm.tensor, factors), w_mono, wp_mono)
+    u = tensor_vector(twm.tensor, factors)
+    if kind == "mode":
+        w = st(_SERIES_MODULE, w_mono) + st(_SERIES_MODULE, _SERIES_STATES[(j + 1) % len(_SERIES_STATES)], rat(-1, 2))
+        return twm.mode_apply(u, Fraction(l - 4, twm.k), w)
+    return twm.pairing_series(u, w_mono, wp_mono)
 
 
 @settings(max_examples=10, derandomize=True, database=None, deadline=None)
 @given(
     hst.lists(
         hst.tuples(
-            hst.sampled_from(["generator", "pairing"]),
+            hst.sampled_from(["generator", "pairing", "mode"]),
             hst.integers(0, 9),
             hst.integers(0, 9),
             hst.integers(0, 9),
@@ -509,7 +569,7 @@ def _series_query(twm, kind, scale, i, j, l):
     hst.randoms(use_true_random=False),
 )
 def test_series_caches_are_transparent(draws, rng):
-    # one module per k fills its _series and _gen_series in a shuffled order,
+    # one module per k fills its _series and _slot_modes in a shuffled order,
     # each draw with the multiples 1, -1, -2, 2 and 3 of its vector (hash(-1)
     # == hash(-2) for ints and Fractions: the shape of an old hash-keyed cache
     # collision); each result must equal that of a fresh module
@@ -519,7 +579,7 @@ def test_series_caches_are_transparent(draws, rng):
     ]
     rng.shuffle(queries)
     got = [_series_query(warm[k], *query) for k, query in queries]
-    assert any(twm._series or twm._gen_series for twm in warm.values())
+    assert any(twm._series or twm._slot_modes for twm in warm.values())
     for (k, query), series in zip(queries, got):
         assert series == _series_query(TwistedModule(_SERIES_MODULE, k), *query), (k, query)
 

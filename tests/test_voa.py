@@ -585,6 +585,14 @@ def test_vector_coefficients_have_one_type(name, u_terms, v_terms, w_terms, c, n
         assert frozenset(from_plain.terms.items()) == frozenset(from_scalars.terms.items())
 
 
+def test_truncated_zero_coefficient_is_kept():
+    # O(z^3) is unknown from z^3 on, not zero; only the exact zero is dropped
+    o3 = FracLaurent("z", 1, {}, trunc=3)
+    v = GradedVector(H, {(1,): o3, (2,): FracLaurent("z", 1, {}), (1, 1): 0})
+    assert v.terms == {(1,): o3}
+    assert not v.is_zero()
+
+
 @pytest.mark.parametrize("momentum", [0, Fraction(2, 3)])
 def test_wick_oracle_builds_no_scalar(momentum, monkeypatch):
     # this oracle call built 62 Scalars at momentum 0 and 121 at 2/3 when
