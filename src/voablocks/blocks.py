@@ -130,15 +130,13 @@ class RationalExpr:
             total = total + val
         return Scalar._coerce(total)
 
-    def substitute(self, points: dict, var: str, trunc=None) -> FracLaurent:
+    def substitute(self, points: dict, var: str, trunc) -> FracLaurent:
         """Substitute a FracLaurent (or scalar, treated as constant) for each
         point and return the resulting series in ``var``.
 
-        Without ``trunc`` the result is exact, and a non-monomial factor with
-        a negative power raises TruncationError.  With ``trunc`` every term is
-        expanded until it is known below x^trunc, counting from its lowest
-        exponent, and the sum is truncated there; a truncated point still
-        caps the result's truncation below ``trunc``.
+        Every term is expanded until it is known below x^trunc, counting from
+        its lowest exponent, and the sum is truncated there; a truncated point
+        still caps the result's truncation below ``trunc``.
         """
 
         pts = {i: p if isinstance(p, FracLaurent) else FracLaurent(var, 1, {0: p}) for i, p in points.items()}
@@ -152,20 +150,18 @@ class RationalExpr:
             else:
                 val = FracLaurent(var, 1, {Fraction(0): c})
             factors = [(pts[i], e) for i, e in zp] + [(pts[i] - pts[j], e) for (i, j), e in dp]
-            order = None
-            if trunc is not None:
-                low = _lower_bound(val)
-                for f, e in factors:
-                    bound = _lower_bound(f)
-                    if bound is None:  # an exact-zero factor
-                        if e < 0:
-                            raise ZeroDivisionError("coincident insertion points")
-                        low = trunc  # the term vanishes
-                        break
-                    low += e * bound
-                if low >= trunc:
-                    continue  # nothing of this term lies below x^trunc
-                order = trunc - low
+            low = _lower_bound(val)
+            for f, e in factors:
+                bound = _lower_bound(f)
+                if bound is None:  # an exact-zero factor
+                    if e < 0:
+                        raise ZeroDivisionError("coincident insertion points")
+                    low = trunc  # the term vanishes
+                    break
+                low += e * bound
+            if low >= trunc:
+                continue  # nothing of this term lies below x^trunc
+            order = trunc - low
             for f, e in factors:
                 val = val * (f**e if e >= 0 else f.inverse(order) ** -e)
             total = total + val
@@ -238,20 +234,6 @@ def _gram_norm(mono) -> Fraction:
     return out
 
 
-def _falling(nu, cnt):
-    out = 1
-    for t in range(cnt):
-        out *= nu - t
-    return out
-
-
-def _rising(mu, cnt):
-    out = 1
-    for t in range(cnt):
-        out *= mu + t
-    return out
-
-
 def heisenberg_correlator(vs, w: GradedVector, wp: GradedVector) -> RationalExpr:
     """<Y(v_n, z_n) ... Y(v_1, z_1) w, w'> as an exact rational function.
 
@@ -316,14 +298,14 @@ def _wick_sum(sites, w_mono, wp_mono, lam, nsites) -> RationalExpr:
         if ka == "site" and kb == "out":
             _, i, p, norm = a
             _, nu = b
-            coef = _falling(nu, p + 1) * norm
+            coef = math.perm(nu, p + 1) * norm
             if coef == 0:
                 return RationalExpr()
             return RationalExpr.term(coef, zpows={i: nu - 1 - p})
         if ka == "site" and kb == "in":
             _, i, p, norm = a
             _, mu = b
-            coef = (-1) ** (p % 2) * _rising(mu, p + 1) * norm
+            coef = (-1) ** (p % 2) * math.perm(mu + p, p + 1) * norm
             return RationalExpr.term(coef, zpows={i: -mu - 1 - p})
         if ka == "out" and kb == "in":
             _, nu = a

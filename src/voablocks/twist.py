@@ -2,15 +2,18 @@
 
 For the cyclic rotation g of V^(x)k and a Heisenberg Fock module W, the
 twisted vertex operators are realized on W itself with modes in (1/k)Z.
-Everything is computed in the k-th root variable t with z = t^k, which keeps
-all data on one exact exponent lattice: the matrix-element generating series
+In the k-th root variable t = z^(1/k) the matrix-element generating series
 
     <Y^g(v_1 (x) ... (x) v_k, z) w, w'>
 
 is the k-point propagated pairing block, with the i-th slot vector carried
 from the z^k-chart to the z-chart at the root point w_k^i t (the correction
 is the k-th-root coordinate change at that point), evaluated by the Wick
-oracle.  The coefficient of t^(-kn-k) is the mode at index n.
+oracle.  The coefficient of t^(-kn-k) is the mode at index n.  By
+L_0-covariance the block of a homogeneous u between basis states is one
+monomial c t^(wt w' - wt w - k wt u), so everything is computed at t = 1, at
+the exact root points w_k^i, and t appears only in the series handed out, at
+the exponent the grading fixes.
 
 Two construction paths coexist and must agree where both apply, and each has
 one implementation.  The generator formula (one non-vacuum slot, any base
@@ -57,9 +60,9 @@ def _chart_corrected(k: int, v: GradedVector, point) -> GradedVector:
 
 
 def _root_points(k: int, s) -> list:
-    """The root points w_k^i s of the k slots, i in range(k): exact scalars
-    for a number s, monomials for the symbolic s = t."""
-    return [Scalar.root_of_unity(k, i) * s for i in range(k)]
+    """The root points w_k^i s of the k slots, i in range(k), as stored
+    exact scalars for a number s."""
+    return [stored(Scalar.root_of_unity(k, i) * s) for i in range(k)]
 
 
 class TwistedModule:
@@ -67,8 +70,9 @@ class TwistedModule:
 
     The twisted grading operator is (1/k) of the grading of W, so twisted
     weights lie in (1/k)N with finite-dimensional eigenspaces.  Three caches
-    fill lazily, each keyed on exact values: ``_series`` holds the oracle
-    series per (u's terms, w monomial, w' monomial), ``_slot_modes`` the
+    fill lazily, each keyed on exact values and holding values at t = 1:
+    ``_oracle_values`` the Wick oracle's value at the root points per
+    (tensor monomial, w monomial, w' monomial), ``_slot_modes`` the
     generator formula's stored terms per (base monomial, slot, kn, w
     monomial), ``_corrected`` the chart-corrected slot vector per (base
     monomial, slot).  A value is stored only once computed in full."""
@@ -87,58 +91,67 @@ class TwistedModule:
         self.k = k
         self.tensor = TensorPowerAlgebra(module.algebra, k)
         self.dual = dual_of(module)
-        self._t_points = _root_points(k, FracLaurent.variable(TVAR))
-        self._series = {}
+        self._points = _root_points(k, 1)
+        self._oracle_values = {}
         self._slot_modes = {}
         self._corrected = {}
 
     # ---- gradings ------------------------------------------------------
 
-    def mode_index_lattice(self, n) -> Fraction:
-        n = Fraction(n)
-        if (n * self.k).denominator != 1:
+    def kn_index(self, n) -> int:
+        """k n for a mode index n, which must lie in (1/k)Z."""
+        kn = Fraction(n) * self.k
+        if kn.denominator != 1:
             raise ValueError(f"mode index {n} is not in (1/{self.k})Z")
-        return n
+        return kn.numerator
 
     # ---- the two construction paths -------------------------------------
 
     def slot_corrected(self, mono, slot: int) -> GradedVector:
-        """The base state ``mono`` carried to the root point w_k^slot t of
-        its slot (see ``_chart_corrected``), computed once per module."""
+        """The base state ``mono`` carried to the root point w_k^slot of its
+        slot at t = 1 (see ``_chart_corrected``), computed once per module."""
         key = (tuple(mono), slot)
         hit = self._corrected.get(key)
         if hit is None:
             if not 0 <= slot < self.k:
                 raise ValueError(f"slot {slot} is not in range({self.k})")
             base_state = GradedVector.state(self.tensor.base, mono)
-            hit = _chart_corrected(self.k, base_state, self._t_points[slot])
+            hit = _chart_corrected(self.k, base_state, self._points[slot])
             self._corrected[key] = hit
         return hit
 
+    def _oracle_value(self, mono, w_mono, wp_mono):
+        # the k-point block of a tensor monomial between basis states at t = 1
+        key = (mono, w_mono, wp_mono)
+        hit = self._oracle_values.get(key)
+        if hit is None:
+            slots = [self.slot_corrected(m, i) for i, m in enumerate(mono)]
+            w = GradedVector.state(self.module, w_mono)
+            wp = GradedVector.state(self.dual, wp_mono)
+            hit = stored(heisenberg_correlator(slots, w, wp).evaluate(dict(enumerate(self._points))))
+            self._oracle_values[key] = hit
+        return hit
+
     def pairing_series(self, u: GradedVector, w_mono, wp_mono) -> FracLaurent:
-        """<Y^g(u, z) w, w'> as an exact Laurent polynomial in t = z^(1/k)."""
+        """<Y^g(u, z) w, w'> as an exact Laurent polynomial in t = z^(1/k):
+        each monomial of u contributes its oracle value at the exponent
+        wt w' - wt w - k wt(monomial)."""
         if u.space is not self.tensor:
             raise ValueError("u must be a tensor-power vector")
-        key = (frozenset(u.terms.items()), w_mono, wp_mono)
-        hit = self._series.get(key)
-        if hit is not None:
-            return hit
-        pts = dict(enumerate(self._t_points))
-        w = GradedVector.state(self.module, w_mono)
-        wp = GradedVector.state(self.dual, wp_mono)
-        total = FracLaurent.zero(TVAR, 1)
+        if not u.terms:  # no oracle call checks the states
+            self.module.check_mono(w_mono)
+            self.dual.check_mono(wp_mono)
+        gap = self.module.weight(wp_mono) - self.module.weight(w_mono)
+        terms = {}
         for mono, coef in u.terms.items():
-            slots = [self.slot_corrected(m, i) for i, m in enumerate(mono)]
-            expr = heisenberg_correlator(slots, w, wp)
-            if expr.is_zero():
-                continue
-            total = total + expr.substitute(pts, TVAR).scale(coef)
-        self._series[key] = total
-        return total
+            val = self._oracle_value(mono, w_mono, wp_mono)
+            if val:
+                _acc(terms, gap - self.k * self.tensor.weight(mono), val * coef)
+        return FracLaurent(TVAR, 1, terms)
 
     def generator_series(self, v: GradedVector, w_mono, wp_mono) -> FracLaurent:
         """Generator-path series: Y^g(v (x) 1 ... (x) 1, z) = Y(Dv, t) with D
-        the k-th-root coordinate change in the symbolic variable t.  The
+        the k-th-root coordinate change at t.  The
         weight-h component of v maps grade wt(w) into grade
         k h + wt(w) - kn - k, so it meets w' through one mode kn alone."""
         if v.space is not self.tensor.base:
@@ -165,8 +178,7 @@ class TwistedModule:
 
     def full_mode_element(self, u: GradedVector, n, w: GradedVector, wp: GradedVector) -> Scalar:
         """<Y^g(u)_n w, w'> for arbitrary vectors, through the k-point oracle."""
-        n = self.mode_index_lattice(n)
-        return self._matrix_series(u, w, wp).coeff(-self.k * n - self.k)
+        return self._matrix_series(u, w, wp).coeff(-self.kn_index(n) - self.k)
 
     def _single_slot(self, mono):
         # (slot, monomial) of the one non-vacuum slot, (0, ()) for the vacuum
@@ -176,22 +188,21 @@ class TwistedModule:
     def _slot_mode(self, v_mono, slot: int, kn: int, w_mono) -> dict:
         # the stored terms of Y^g(v_mono in slot)_{kn/k} on the basis state
         # w_mono: the generator formula at the root point w_k^slot t, stored
-        # once it is computed in full
+        # once it is computed in full.  The coefficient of a weight-b state
+        # is that of t^(b - k wt v), which meets mode m = b - k wt v + kn + k - 1
         key = (v_mono, slot, kn, w_mono)
         hit = self._slot_modes.get(key)
         if hit is None:
             x = self.slot_corrected(v_mono, slot)
-            phase_base = self._t_points[slot].stored_coeff(1)  # w_k^slot, the root point's coefficient
+            base = self.tensor.base
+            shift = kn + self.k - 1 - self.k * base.weight(v_mono)
             w = GradedVector(self.module, {w_mono: 1})
             out = {}
             for b, coef in x.terms.items():
-                bvec = GradedVector.state(self.tensor.base, b)
-                exps = coef.terms.items() if isinstance(coef, FracLaurent) else [(Fraction(0), coef)]
-                for e, ce in exps:
-                    m = int(e) + kn + self.k - 1
-                    phase = ce * exact_pow(phase_base, -m - 1)
-                    for mono, c in mode_action(bvec, m, w).terms.items():
-                        _acc(out, mono, c * phase)
+                m = base.weight(b) + shift
+                phase = coef * exact_pow(self._points[slot], -m - 1)
+                for mono, c in mode_action(GradedVector.state(base, b), m, w).terms.items():
+                    _acc(out, mono, c * phase)
             hit = self._slot_modes[key] = GradedVector(self.module, out).terms
         return hit
 
@@ -207,43 +218,39 @@ class TwistedModule:
         """Y^g of a vector occupying one tensor slot: the generator formula
         carried to the root point w_k^slot t, so only mode actions of the
         base algebra are needed."""
-        kn = int(self.k * self.mode_index_lattice(n))
+        kn = self.kn_index(n)
         return GradedVector(self.module, self._add_slot_modes({}, tuple(v_mono), slot, kn, w))
 
     def mode_apply(self, u: GradedVector, n, w: GradedVector) -> GradedVector:
         """Y^g(u)_n w; single-slot tensor monomials go through the generator
         formula, genuinely multi-slot ones through the k-point oracle."""
-        n = self.mode_index_lattice(n)
-        kn = int(self.k * n)
+        kn = self.kn_index(n)
         out = {}
-        oracle_parts = {}
         for mono, coef in u.terms.items():
             single = self._single_slot(mono)
             if single is not None:
                 slot, vm = single
                 self._add_slot_modes(out, vm, slot, kn, w, coef)
-            else:
-                oracle_parts[mono] = coef
-        if oracle_parts:
-            rest = GradedVector(self.tensor, oracle_parts)
-            for alpha, u_part in rest.weight_components().items():
-                for b, w_part in w.weight_components().items():
-                    target = self.k * alpha + b - kn - self.k
-                    if target < 0:
-                        continue
-                    if target > self.module.cutoff:
-                        raise CutoffOverflow(target, self.module.cutoff)
-                    for wm, wc in w_part.terms.items():
-                        for out_mono in self.module.basis(target):
-                            val = self.pairing_series(u_part, wm, out_mono).stored_coeff(-kn - self.k)
-                            if val:
-                                _acc(out, out_mono, val * wc)
+                continue
+            # the oracle: weight alpha maps grade b into grade k alpha + b - kn - k
+            shift = self.k * self.tensor.weight(mono) - kn - self.k
+            for wm, wc in w.terms.items():
+                target = self.module.weight(wm) + shift
+                if target < 0:
+                    continue
+                if target > self.module.cutoff:
+                    raise CutoffOverflow(target, self.module.cutoff)
+                c = coef * wc
+                for out_mono in self.module.basis(target):
+                    val = self._oracle_value(mono, wm, out_mono)
+                    if val:
+                        _acc(out, out_mono, val * c)
         return GradedVector(self.module, out)
 
     def generator_mode_apply(self, v: GradedVector, n, w: GradedVector) -> GradedVector:
         """Y^g(v (x) 1 ... (x) 1)_n w through the generator formula: the
         slot-0 case of ``slot_mode_apply``, whose root point is t itself."""
-        kn = int(self.k * self.mode_index_lattice(n))
+        kn = self.kn_index(n)
         out = {}
         for vm, c in v.terms.items():
             self._add_slot_modes(out, vm, 0, kn, w, c)
@@ -380,10 +387,8 @@ def check_grading(tw: TwistedModule, vectors, states, n_values) -> bool:
 
 
 def _scale_by_twisted_weight(tw, vec):
-    out = GradedVector(vec.space)
-    for h, part in vec.weight_components().items():
-        out = out + part.scale(Fraction(h, tw.k))
-    return out
+    # each monomial times its twisted weight wt/k
+    return GradedVector(vec.space, {m: c * Fraction(vec.space.weight(m), tw.k) for m, c in vec.terms.items()})
 
 
 def check_equivariance(tw: TwistedModule, vectors, w_monos, wp_monos) -> bool:
@@ -431,7 +436,7 @@ def check_jacobi(
     # v and w are homogeneous
     wt_wp = wp.homogeneous_weight()
     top = k * (u.max_weight() + v.max_weight() - 2) + w.max_weight()
-    hs = [(h, int(k * h)) for h in map(tw.mode_index_lattice, h_values)]
+    hs = [(Fraction(h), tw.kn_index(h)) for h in h_values]
     for j, uj in eigencomponents(u, k).items():
         instances = [
             (Fraction(j, k) + m, n, h)

@@ -47,6 +47,15 @@ def test_non_heisenberg_base_unsupported():
         FockModule(V, 0)
 
 
+def test_pairing_series_refuses_a_non_basis_state():
+    # also for the zero vector, whose series calls no oracle
+    tw = TwistedModule(W, 2)
+    for u in (tensor_vector(tw.tensor, [A, A]), GradedVector(tw.tensor)):
+        for w_mono, wp_mono in (((0,), ()), ((), (1, 2))):
+            with pytest.raises(ValueError, match="basis monomial"):
+                tw.pairing_series(u, w_mono, wp_mono)
+
+
 def test_mode_index_off_lattice_rejected():
     tw = TwistedModule(W, 2)
     with pytest.raises(ValueError):
@@ -569,7 +578,7 @@ def _series_query(twm, kind, scale, i, j, l):
     hst.randoms(use_true_random=False),
 )
 def test_series_caches_are_transparent(draws, rng):
-    # one module per k fills its _series and _slot_modes in a shuffled order,
+    # one module per k fills its _oracle_values and _slot_modes in a shuffled order,
     # each draw with the multiples 1, -1, -2, 2 and 3 of its vector (hash(-1)
     # == hash(-2) for ints and Fractions: the shape of an old hash-keyed cache
     # collision); each result must equal that of a fresh module
@@ -579,7 +588,7 @@ def test_series_caches_are_transparent(draws, rng):
     ]
     rng.shuffle(queries)
     got = [_series_query(warm[k], *query) for k, query in queries]
-    assert any(twm._series or twm._slot_modes for twm in warm.values())
+    assert any(twm._oracle_values or twm._slot_modes for twm in warm.values())
     for (k, query), series in zip(queries, got):
         assert series == _series_query(TwistedModule(_SERIES_MODULE, k), *query), (k, query)
 
@@ -607,3 +616,52 @@ def test_chart_correction_computed_once_per_monomial_and_slot(monkeypatch):
         for u in vecs:
             tw.pairing_series(u, wm, pm)
         assert len(calls) == len(pairs)
+
+
+@pytest.mark.parametrize("momentum", [0, rat(2, 3)], ids=["0", "2/3"])
+def test_pairing_series_matches_the_symbolic_root_point_block(momentum):
+    # the module works at t = 1 and places each oracle value at the exponent
+    # the grading fixes; the reference keeps t symbolic: slots chart-corrected
+    # at w_k^i t, the block substituted at those points below t^T
+    T = 3
+    Wm = fock(H, momentum)
+    WmD = dual_of(Wm)
+    states = [m for g in range(0, 3) for m in Wm.basis(g)]
+    t = FracLaurent.variable("t")
+    for k in (1, 2, 3, 4):
+        tw = TwistedModule(Wm, k)
+        pts = {i: Scalar.root_of_unity(k, i) * t for i in range(k)}
+        monos = [
+            mono
+            for g in range(0, 4)
+            for mono in tw.tensor.basis(g)
+            if sum(m != () for m in mono) >= min(2, k)
+        ]
+        assert monos
+        for mono in monos:
+            u = GradedVector(tw.tensor, {mono: 1})
+            slots = [twist._chart_corrected(k, st(H, m), pts[i]) for i, m in enumerate(mono)]
+            for wm in states:
+                for pm in states:
+                    ref = heisenberg_correlator(slots, st(Wm, wm), st(WmD, pm)).substitute(pts, "t", trunc=T)
+                    assert tw.pairing_series(u, wm, pm).truncate(T) == ref, (k, mono, wm, pm)
+
+
+def test_pairing_series_of_multiples_evaluates_the_oracle_once_per_monomial(monkeypatch):
+    calls = []
+    original = twist.heisenberg_correlator
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(twist, "heisenberg_correlator", counted)
+    for k in (2, 3):
+        tw = TwistedModule(_SERIES_MODULE, k)
+        u = tensor_vector(tw.tensor, [A, A] + [VAC] * (k - 2)) + tensor_vector(
+            tw.tensor, [VAC, st(H, (2,))] + [VAC] * (k - 2)
+        ).scale(rat(-1, 2))
+        calls.clear()
+        for c in (1, -1, -2, 2, 3):
+            tw.pairing_series(u.scale(Scalar.integer(c)), (1,), (2,))
+        assert len(calls) == len(u.terms) == 2, (k, len(calls))
