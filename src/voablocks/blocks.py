@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import linalg
 from .scalars import Scalar, binomial, exact_pow, stored
 from .series import FracLaurent, _lower_bound
-from .voa import CutoffOverflow, DualModule, GradedVector, HeisenbergAlgebra, dual_pairing
+from .voa import CutoffOverflow, DualModule, GradedVector, HeisenbergAlgebra, _acc, dual_pairing
 
 INF = "infinity"  # marked-point sentinel for the point at infinity
 
@@ -356,20 +356,17 @@ class PropagationResult:
         self.exact = exact
 
 
-def _apply_field(v: GradedVector, z, state: GradedVector, grades, zpows=None) -> GradedVector:
-    """sum_n z^{-n-1} Y(v)_n state, keeping only the output grades in ``grades``.
-
-    Mode n of a monomial sm lands at grade top - n with top = wt v + wt sm - 1,
-    so each grade d in ``grades`` (distinct, >= 0) costs the one mode n = top - d;
-    the modes run from low n to high.  ``zpows`` maps an exponent e to the
-    stored value z^e; calls with the same z may share it."""
+def _field_modes(v: GradedVector, state: GradedVector, grades):
+    """The modes of Y(v, z) on ``state`` that land at a grade in ``grades``:
+    (e, vc sc, Y(vm)_n sm) with e = -n - 1 the exponent of z, for each
+    monomial pair (vm, sm).  Mode n of sm lands at grade top - n with
+    top = wt vm + wt sm - 1, so each grade d in ``grades`` (distinct, >= 0)
+    costs the one mode n = top - d; the modes run from low n to high.  The
+    only loop from output grades to ``mode_mono`` calls: ``_apply_field``,
+    ``propagate_expand`` and the twisted generator formula run it."""
     module = state.space
     alg = module.algebra
-    if zpows is None:
-        zpows = {}
-    z = stored(z)
     downward = sorted(grades, reverse=True)
-    acc = {}
     for vm, vc in v.terms.items():
         wtv = alg.weight(vm)
         for sm, sc in state.terms.items():
@@ -378,18 +375,27 @@ def _apply_field(v: GradedVector, z, state: GradedVector, grades, zpows=None) ->
             for d in downward:
                 n = top - d
                 res = alg.mode_mono(vm, n, sm, module)
-                if not res:
-                    continue
-                zn = zpows.get(-n - 1)
-                if zn is None:
-                    zn = zpows[-n - 1] = exact_pow(z, -n - 1)
-                zf = zn * vs
-                for m, c in res.items():
-                    if m in acc:
-                        acc[m] = acc[m] + c * zf
-                    else:
-                        acc[m] = c * zf
-    return GradedVector(module, acc)
+                if res:
+                    yield -n - 1, vs, res
+
+
+def _apply_field(v: GradedVector, z, state: GradedVector, grades, zpows=None) -> GradedVector:
+    """sum_n z^{-n-1} Y(v)_n state, keeping only the output grades in
+    ``grades``: the modes of ``_field_modes`` summed at a number z.
+    ``zpows`` maps an exponent e to the stored value z^e; calls with the same
+    z may share it."""
+    if zpows is None:
+        zpows = {}
+    z = stored(z)
+    acc = {}
+    for e, vs, res in _field_modes(v, state, grades):
+        zn = zpows.get(e)
+        if zn is None:
+            zn = zpows[e] = exact_pow(z, e)
+        zf = zn * vs
+        for m, c in res.items():
+            acc[m] = acc[m] + c * zf if m in acc else c * zf
+    return GradedVector(state.space, acc)
 
 
 def _modulus(z):
@@ -419,10 +425,10 @@ def propagate_eval(vs, zs, w: GradedVector, wp: GradedVector, cutoff: int) -> Pr
     Requires strictly increasing moduli 0 < |z_1| < ... < |z_n|.  Shells are
     indexed by the grade of the intermediate state just before the last
     insertion, one per grade that state reaches, zeros included; their
-    magnitudes feed a geometric-ratio tail estimate.  The inner insertions
-    keep every grade up to ``cutoff``; the last one computes only the modes
-    that land at a grade of w', since the others pair to zero with it, so
-    the shells are those of the full truncated sum.
+    magnitudes feed a geometric-ratio tail estimate.  Each insertion is the
+    one field application ``_apply_field``: the inner ones keep every grade
+    up to ``cutoff``, the last one only the grades of w', since the other
+    modes pair to zero with it, so the shells are those of the full sum.
     """
     zs = radial_points(vs, zs)
     needed = max(w.max_weight(), wp.max_weight())
@@ -469,44 +475,24 @@ def propagate_expand(vs, w: GradedVector, wp: GradedVector, shell_cap: int) -> d
     A monomial is complete (all contributions collected) iff the grades
     g_t = wt(w) + sum_{i<=t} (wt(v_i) + e_i) all lie in [0, shell_cap]:
     the exponent e_i = -n_i - 1 fixes the grade after the i-th insertion.
-    As in ``_apply_field``, mode n lands at grade top - n; the last insertion
-    takes only the modes that land at a grade of w' up to shell_cap.
+    Each insertion is the one field application ``_field_modes`` with z
+    kept formal: its modes go into one state per exponent prefix, each
+    paired with w' at the end, and the last insertion keeps only the grades
+    of w' up to shell_cap.
     """
-    module = w.space
-    alg = module.algebra
-    nvars = len(vs)
-    states = {m: {(0,) * nvars: c} for m, c in w.terms.items()}
-    inner = sorted(range(shell_cap + 1), reverse=True)
-    last = sorted((d for d in _grades(wp) if d <= shell_cap), reverse=True)
+    states = {(): w}
+    inner = range(shell_cap + 1)
+    last = [d for d in _grades(wp) if d <= shell_cap]
     for i, v in enumerate(vs):
         nxt = {}
-        downward = last if i == nvars - 1 else inner
-        for vm, vc in v.terms.items():
-            wtv = alg.weight(vm)
-            for sm, poly in states.items():
-                top = wtv + module.weight(sm) - 1
-                for d in downward:
-                    n = top - d
-                    res = alg.mode_mono(vm, n, sm, module)
-                    if not res:
-                        continue
-                    for m, c in res.items():
-                        tgt = nxt.setdefault(m, {})
-                        cv = c * vc
-                        for key, pc in poly.items():
-                            k2 = _tadd(key, i, -n - 1)
-                            add = pc * cv
-                            tgt[k2] = tgt[k2] + add if k2 in tgt else add
-        states = nxt
-    out = {}
-    for m, poly in states.items():
-        cp = wp.terms.get(m)
-        if cp is None:
-            continue
-        for key, c in poly.items():
-            add = c * cp
-            out[key] = out[key] + add if key in out else add
-    return {k: Scalar._coerce(v) for k, v in out.items() if v != 0}
+        for prefix, state in states.items():
+            for e, coef, res in _field_modes(v, state, last if i == len(vs) - 1 else inner):
+                tgt = nxt.setdefault(prefix + (e,), {})
+                for m, c in res.items():
+                    _acc(tgt, m, c * coef)
+        states = {key: GradedVector(w.space, terms) for key, terms in nxt.items()}
+    pairs = ((key, dual_pairing(state, wp)) for key, state in states.items())
+    return {key: val for key, val in pairs if val}
 
 
 def permutation_check(vs, zs, w, wp, cutoff=None, tol=None) -> bool:

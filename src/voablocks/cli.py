@@ -51,9 +51,9 @@ def _parse_rational(value, path):
     try:
         if isinstance(value, str):
             return Fraction(value)
-        if isinstance(value, int):
+        if type(value) is int:  # a JSON true or false is no number
             return Fraction(value)
-        if isinstance(value, list) and len(value) == 2 and all(isinstance(x, int) for x in value):
+        if isinstance(value, list) and len(value) == 2 and all(type(x) is int for x in value):
             return Fraction(value[0], value[1])
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(path, str(exc))
@@ -132,22 +132,22 @@ class RunConfig:
         cfg.params = obj.get("params", {})
         for name, bound in (("L", 1), ("N", 0)):
             value = cfg.cutoffs.get(name, bound)
-            if not isinstance(value, int) or value < bound:
+            if type(value) is not int or value < bound:
                 raise ConfigError(f"cutoffs.{name}", "must be positive")
         if cfg.mode not in ("exact", "float"):
             raise ConfigError("mode", "must be 'exact' or 'float'")
-        if not isinstance(cfg.threads, int) or cfg.threads < 1:
+        if type(cfg.threads) is not int or cfg.threads < 1:
             raise ConfigError("threads", "must be a positive integer")
         _json_list(cfg.points, "points")
         for name in ("grade", "index_bound", "pole_bound", "dual_pole_bound"):
             value = cfg.params.get(name, 0)
-            if not isinstance(value, int) or value < 0:
+            if type(value) is not int or value < 0:
                 raise ConfigError(f"params.{name}", "must be a non-negative integer")
         if not isinstance(cfg.params.get("expect", True), bool):
             raise ConfigError("params.expect", "must be true or false")
         ks = cfg.params.get("k", 1)
         ks = ks if isinstance(ks, list) else [ks]
-        if not all(isinstance(k, int) and 1 <= k <= MAX_CYCLOTOMIC_ORDER for k in ks):
+        if not all(type(k) is int and 1 <= k <= MAX_CYCLOTOMIC_ORDER for k in ks):
             raise ConfigError("params.k", f"must be an integer from 1 to {MAX_CYCLOTOMIC_ORDER}")
         return cfg
 
@@ -238,7 +238,7 @@ def _series_from_json(obj, path):
     if not isinstance(obj, dict):
         raise ConfigError(path, "must be a JSON object")
     k = obj.get("k", 1)
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise ConfigError(f"{path}.k", "must be a positive integer")
     terms = {}
     for i, item in enumerate(_json_list(obj.get("terms", []), f"{path}.terms")):

@@ -340,8 +340,8 @@ class Scalar:
         return self._k == other._k and self._vec == other._vec
 
     def __hash__(self):
-        if self._rat is not None:
-            return hash(("rat", self._rat))
+        if self._rat is not None:  # equal to the int or Fraction it equals
+            return hash(self._rat)
         return hash(("cyc", self._k, self._vec))
 
     def __repr__(self):
@@ -370,13 +370,13 @@ class Scalar:
         with integer p, q and 1 <= k <= MAX_CYCLOTOMIC_ORDER; anything else
         raises ValueError."""
         cyc = obj.get("cyc") if isinstance(obj, dict) else None
-        if isinstance(cyc, dict) and isinstance(cyc.get("k"), int) and cyc["k"] > MAX_CYCLOTOMIC_ORDER:
+        if isinstance(cyc, dict) and type(cyc.get("k")) is int and cyc["k"] > MAX_CYCLOTOMIC_ORDER:
             raise ValueError(f"cyclotomic order k={cyc['k']} exceeds the limit {MAX_CYCLOTOMIC_ORDER}")
         try:
             [(kind, data)] = obj.items()
             if kind == "rat":
                 return Scalar(rat=_json_fraction(data))
-            if kind == "cyc" and isinstance(data["k"], int) and data["k"] >= 1:
+            if kind == "cyc" and type(data["k"]) is int and data["k"] >= 1:
                 vec = [_json_fraction(c) for c in data["vec"]]
                 return Scalar._make_cyc(data["k"], _reduce_mod_cyclotomic(vec, data["k"]))
         except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError):
@@ -386,7 +386,7 @@ class Scalar:
 
 def _json_fraction(pair) -> Fraction:
     p, q = pair
-    if not (isinstance(p, int) and isinstance(q, int)):
+    if not (type(p) is int and type(q) is int):  # a JSON true or false is no integer
         raise TypeError("rational coordinates must be integer pairs")
     return Fraction(p, q)
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .blocks import _apply_field, heisenberg_correlator
 from .coordchange import apply_coord_change, kth_root_shift
-from .scalars import MAX_CYCLOTOMIC_ORDER, Scalar, exact_pow, reciprocal, stored
+from .scalars import MAX_CYCLOTOMIC_ORDER, Scalar, reciprocal, stored
 from .series import FracLaurent, binomial_expand
 from .voa import (
     CutoffOverflow,
@@ -186,24 +186,19 @@ class TwistedModule:
         return nz[0] if len(nz) == 1 else None
 
     def _slot_mode(self, v_mono, slot: int, kn: int, w_mono) -> dict:
-        # the stored terms of Y^g(v_mono in slot)_{kn/k} on the basis state
-        # w_mono: the generator formula at the root point w_k^slot t, stored
-        # once it is computed in full.  The coefficient of a weight-b state
-        # is that of t^(b - k wt v), which meets mode m = b - k wt v + kn + k - 1
+        """The stored terms of Y^g(v_mono in slot)_{kn/k} on the basis state
+        w_mono, computed once: the generator formula is the one field
+        application ``_apply_field`` of the chart-corrected slot at its root
+        point w_k^slot, at the one grade wt w + k wt v - kn - k it reaches."""
         key = (v_mono, slot, kn, w_mono)
         hit = self._slot_modes.get(key)
         if hit is None:
-            x = self.slot_corrected(v_mono, slot)
-            base = self.tensor.base
-            shift = kn + self.k - 1 - self.k * base.weight(v_mono)
+            target = self.module.weight(w_mono) + self.k * self.tensor.base.weight(v_mono) - kn - self.k
+            if target > self.module.cutoff:
+                raise CutoffOverflow(target, self.module.cutoff)
             w = GradedVector(self.module, {w_mono: 1})
-            out = {}
-            for b, coef in x.terms.items():
-                m = base.weight(b) + shift
-                phase = coef * exact_pow(self._points[slot], -m - 1)
-                for mono, c in mode_action(GradedVector.state(base, b), m, w).terms.items():
-                    _acc(out, mono, c * phase)
-            hit = self._slot_modes[key] = GradedVector(self.module, out).terms
+            x = _apply_field(self.slot_corrected(v_mono, slot), self._points[slot], w, [target] if target >= 0 else [])
+            hit = self._slot_modes[key] = x.terms
         return hit
 
     def _add_slot_modes(self, out: dict, v_mono, slot: int, kn: int, w: GradedVector, coef=1) -> dict:

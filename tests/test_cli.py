@@ -386,6 +386,12 @@ def _negative_index_bound(tmp_path):
         ),
         _params_config("sew", params={"u": [{"monomial": [2], "coeff": _ZETA4}], "w": [{"monomial": [1], "coeff": _ZETA3}]}),
         _propagate_with_w([{"monomial": [1], "coeff": _ZETA4}, {"monomial": [1], "coeff": _ZETA3}]),
+        _params_config("twist-check", params={"k": True}),
+        _params_config("jacobi-check", cutoffs={"L": True}),
+        _params_config("propagate", points=[True], params={"insertions": [[{"monomial": [1]}]]}),
+        _propagate_with_w([{"monomial": [], "coeff": {"rat": [True, 2]}}]),
+        _params_config("jacobi-check", threads=True),
+        _propagate_with_w([{"monomial": [], "coeff": {"cyc": {"k": True, "vec": [[1, 1]]}}}]),
     ],
     ids=[
         "malformed-json", "degenerate-taylor", "unordered-points", "missing-config", "negative-grade", "zero-k",
@@ -396,7 +402,8 @@ def _negative_index_bound(tmp_path):
         "zero-denominator-exponent", "string-expect", "points-not-list", "insertions-not-list", "commute-points-not-list",
         "twist-modes-k-list", "no-marked-points", "ragged-series-at-infinity", "ragged-series-at-zero",
         "taylor-not-list", "taylor-string", "mixed-fields-insertion-and-wp", "mixed-fields-u-and-w",
-        "mixed-fields-in-one-vector",
+        "mixed-fields-in-one-vector", "boolean-k", "boolean-cutoff", "boolean-point", "boolean-rat-coeff",
+        "boolean-threads", "boolean-cyc-order",
     ],
 )
 def test_bad_input_gives_one_line_and_exit_2(argv_for, tmp_path, capsys):

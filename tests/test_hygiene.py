@@ -120,3 +120,22 @@ def test_import_path_stays_within_its_stdlib_budget():
     tops = {name.partition(".")[0] for name in out.stdout.split()} - {"voablocks"}
     extra = sorted(t for t in tops if t not in IMPORT_BUDGET | IMPORT_PARTS and t[1:] not in IMPORT_BUDGET)
     assert not extra, f"the import path loads stdlib modules outside its budget: {extra}"
+
+
+def test_benchmark_tracer_resolves_every_traced_name():
+    # the traced benchmark wraps library functions by name and calls
+    # Scalar.is_cyclotomic inside its scalar-arithmetic wrapper; a deleted or
+    # renamed target fails here rather than only in a traced benchmark run
+    code = (
+        "import importlib, pkgutil, voablocks, tracer\n"
+        "modules = [voablocks] + [importlib.import_module('voablocks.' + m.name)"
+        " for m in pkgutil.iter_modules(voablocks.__path__)]\n"
+        "tr = tracer.Tracer(modules)\n"
+        "tr.install()\n"
+        "assert voablocks.scalars.Scalar.root_of_unity(3) * 2\n"
+        "tr.metrics(0.0)\n"
+        "tr.uninstall()\n"
+    )
+    env = {**os.environ, "PYTHONPATH": f"{ROOT / 'src'}{os.pathsep}{ROOT / 'perfbench'}", "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

@@ -208,6 +208,10 @@ def test_equal_values_hash_equal(triple):
         assert hash(x) == hash(y)
     # (a + 1) - a demotes to the rational 1 even when a is cyclotomic
     assert ((a + 1) - a).is_rational()
+    # a rational Scalar hashes as the int or Fraction it equals
+    for x, y in ((Scalar.integer(3), 3), (Scalar.rational(1, 2), Fraction(1, 2)), (b - b, 0)):
+        assert x == y and hash(x) == hash(y)
+    assert len({Scalar.integer(3), 3}) == 1 and {Fraction(1, 2): 1}.get(Scalar.rational(1, 2)) == 1
 
 
 @_field_law_settings

@@ -176,13 +176,13 @@ def test_cutoff_overflow_stores_no_slot_mode():
 def test_second_grading_check_makes_no_base_mode_action(monkeypatch):
     # every twisted mode of the second check is a slot-mode memo hit
     calls = []
-    original = twist.mode_action
+    original = twist._apply_field
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(twist, "mode_action", counted)
+    monkeypatch.setattr(twist, "_apply_field", counted)
     tw = TwistedModule(W, 2)
     gen_vecs = [tensor_vector(tw.tensor, [st(H, m), VAC]) for g in range(1, 4) for m in H.basis(g)]
     states = [st(W, m) for g in range(0, 3) for m in W.basis(g)]
