@@ -2,10 +2,11 @@
 configuration and machine-readable TSV/JSON output.
 
 Exact values print as p/q (cyclotomics as coefficient vectors); float mode
-converts the exact results on output.  Experiment items run one after
-another in a fixed (sorted) order; ``threads`` is accepted and validated but
-does not change the run, so output is byte-identical for any thread count.
-Exit status is nonzero whenever a checked identity fails.
+converts the exact results on output.  ``jacobi-check`` splits its sweep
+across up to ``threads`` processes, capped at the usable CPUs, and merges
+their reports in triple order; every other subcommand runs its items one
+after another in a fixed (sorted) order.  Output is byte-identical for any
+thread count.  Exit status is nonzero whenever a checked identity fails.
 """
 
 from __future__ import annotations
@@ -483,13 +484,35 @@ def _run_jacobi_check(cfg: RunConfig):
         sweep = jacobi_sweep(mode_action, u, v, w, itertools.product(idx, idx, idx))
         return all(diff.is_zero() for diff in sweep)
 
-    failed = [t for t in triples if not check(t)]
+    from .shards import max_workers, run_shards  # here, so importing the CLI does not compile it
+
+    # triple i goes to shard i mod workers; a shard stops at its first
+    # overflow, so the lowest overflowing index over all shards is the one
+    # a serial sweep meets first
+    workers = min(cfg.threads, max_workers(), len(triples))
+
+    def run_shard(s):
+        failed = []
+        for i in range(s, len(triples), workers):
+            try:
+                if not check(triples[i]):
+                    failed.append(i)
+            except CutoffOverflow as exc:
+                return {"failed": failed, "overflow": [i, exc.weight, exc.cutoff]}
+        return {"failed": failed, "overflow": None}
+
+    reports = run_shards(run_shard, workers)
+    overflows = [r["overflow"] for r in reports if r["overflow"]]
+    if overflows:
+        _, weight, cutoff = min(overflows)
+        raise CutoffOverflow(weight, cutoff)
+    failed = sorted(i for r in reports for i in r["failed"])
     lines = [
         "triples\tindex_bound\tfailures",
         f"{len(triples)}\t{bound}\t{len(failed)}",
     ]
-    for t in failed:
-        lines.append(f"# FAIL\t{t}")
+    for i in failed:
+        lines.append(f"# FAIL\t{triples[i]}")
     return (0 if not failed else 1), lines
 
 

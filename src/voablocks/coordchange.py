@@ -41,10 +41,6 @@ class CoordChange:
     def identity() -> "CoordChange":
         return CoordChange(1)
 
-    @staticmethod
-    def dilation(a) -> "CoordChange":
-        return CoordChange(a)
-
     def coefficient(self, n: int):
         if n == 0:
             return self.c0

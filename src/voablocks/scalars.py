@@ -172,9 +172,6 @@ class Scalar:
 
     # ---- predicates ---------------------------------------------------
 
-    def is_rational(self):
-        return self._rat is not None
-
     def is_cyclotomic(self):
         return self._vec is not None
 
@@ -211,11 +208,6 @@ class Scalar:
         """(k, self, other) as coordinate vectors of one cyclotomic field."""
         k = self._k or other._k
         return k, self._as_vec(k), other._as_vec(k)
-
-    def to_fraction(self) -> Fraction:
-        if self._rat is None:
-            raise ScalarError("scalar is not rational")
-        return self._rat
 
     def to_complex(self) -> complex:
         if self._rat is not None:

@@ -39,7 +39,6 @@ from .voa import (
     HeisenbergAlgebra,
     TensorPowerAlgebra,
     _acc,
-    _pairing,
     cycle_rotate,
     dual_of,
     dual_pairing,
@@ -157,13 +156,16 @@ class TwistedModule:
         if v.space is not self.tensor.base:
             raise ValueError("v must live in the base algebra")
         k = self.k
-        w = GradedVector.state(self.module, w_mono)
-        wp = GradedVector.state(self.dual, wp_mono)
+        w_mono, wp_mono = tuple(w_mono), tuple(wp_mono)
+        self.module.check_mono(w_mono)
+        self.dual.check_mono(wp_mono)
         gap = self.module.weight(w_mono) - self.module.weight(wp_mono) - k
         terms = {}
         for h, part in v.weight_components().items():
             kn = k * h + gap
-            terms[-kn - k] = _pairing(self.generator_mode_apply(part, Fraction(kn, k), w), wp)
+            terms[-kn - k] = sum(
+                c * self._slot_mode(vm, 0, kn, w_mono).get(wp_mono, 0) for vm, c in part.terms.items()
+            )
         return FracLaurent(TVAR, 1, terms)
 
     # ---- modes -----------------------------------------------------------
@@ -175,10 +177,6 @@ class TwistedModule:
             for pm, pc in wp.terms.items():
                 total = total + self.pairing_series(u, wm, pm).scale(wc * pc)
         return total
-
-    def full_mode_element(self, u: GradedVector, n, w: GradedVector, wp: GradedVector) -> Scalar:
-        """<Y^g(u)_n w, w'> for arbitrary vectors, through the k-point oracle."""
-        return self._matrix_series(u, w, wp).coeff(-self.kn_index(n) - self.k)
 
     def _single_slot(self, mono):
         # (slot, monomial) of the one non-vacuum slot, (0, ()) for the vacuum
@@ -250,10 +248,6 @@ class TwistedModule:
         for vm, c in v.terms.items():
             self._add_slot_modes(out, vm, 0, kn, w, c)
         return GradedVector(self.module, out)
-
-    def mode_support(self, u: GradedVector, w: GradedVector, wp: GradedVector):
-        """All n with <Y^g(u)_n w, w'> nonzero, from the generating series."""
-        return sorted(-(e / self.k) - 1 for e in self._matrix_series(u, w, wp).terms)
 
 
 # ---------------------------------------------------------------------------

@@ -413,12 +413,6 @@ class FockModule:
     def cutoff(self):
         return self.algebra.cutoff
 
-    @property
-    def grading_offset(self):
-        """Conformal weight of the momentum vacuum; the stored grading is the
-        depth above it, so eigenvalues sit in N after subtracting this."""
-        return Scalar._coerce(self.momentum * self.momentum * Fraction(1, 2))
-
     def vacuum_mono(self):
         return ()
 

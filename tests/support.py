@@ -49,6 +49,16 @@ def rat(p, q=1):
     return Scalar.rational(p, q)
 
 
+def full_mode_element(tw, u, n, w, wp):
+    """<Y^g(u)_n w, w'> for arbitrary vectors, through the k-point oracle."""
+    return tw._matrix_series(u, w, wp).coeff(-tw.kn_index(n) - tw.k)
+
+
+def mode_support(tw, u, w, wp):
+    """All n with <Y^g(u)_n w, w'> nonzero, from the oracle's generating series."""
+    return sorted(-(e / tw.k) - 1 for e in tw._matrix_series(u, w, wp).terms)
+
+
 def pair_field(alg, v, z0, x, wp, depth=28):
     """<Y(v, z0) x, wp>: exact, finite once paired against a bounded dual."""
     out = Scalar.integer(0)

@@ -20,7 +20,7 @@ def test_root_of_unity_order():
 
 def test_rational_arithmetic():
     assert Scalar.rational(1, 3) + Scalar.rational(1, 6) == Scalar.rational(1, 2)
-    assert Scalar.rational(2, 4).to_fraction() == Fraction(1, 2)
+    assert Scalar.rational(2, 4).to_json() == {"rat": [1, 2]}
 
 
 def test_minimal_polynomial_reduction():
@@ -98,7 +98,7 @@ def test_hash_and_demotion():
     assert hash(w2) == hash(Scalar.integer(-1))
     w4 = Scalar.root_of_unity(4)
     sq = w4 * w4
-    assert sq.is_rational()
+    assert not sq.is_cyclotomic()
 
 
 def test_json_round_trip():
@@ -207,7 +207,7 @@ def test_equal_values_hash_equal(triple):
         assert x == y
         assert hash(x) == hash(y)
     # (a + 1) - a demotes to the rational 1 even when a is cyclotomic
-    assert ((a + 1) - a).is_rational()
+    assert not ((a + 1) - a).is_cyclotomic()
     # a rational Scalar hashes as the int or Fraction it equals
     for x, y in ((Scalar.integer(3), 3), (Scalar.rational(1, 2), Fraction(1, 2)), (b - b, 0)):
         assert x == y and hash(x) == hash(y)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from support import fock, heis, rat, st, vac
+from support import fock, full_mode_element, heis, mode_support, rat, st, vac
 from voablocks.blocks import heisenberg_correlator
 from voablocks.scalars import Scalar
 from voablocks.series import FracLaurent
@@ -54,6 +54,16 @@ def test_pairing_series_refuses_a_non_basis_state():
         for w_mono, wp_mono in (((0,), ()), ((), (1, 2))):
             with pytest.raises(ValueError, match="basis monomial"):
                 tw.pairing_series(u, w_mono, wp_mono)
+
+
+def test_generator_series_refuses_a_non_basis_state():
+    # also for the zero vector, which reaches no generator-formula mode
+    tw = TwistedModule(W, 2)
+    for v in (A, GradedVector(H)):
+        for w_mono, wp_mono in (((0,), ()), ((), (1, 2)), ([1, 2], ())):
+            with pytest.raises(ValueError, match="basis monomial"):
+                tw.generator_series(v, w_mono, wp_mono)
+    assert tw.generator_series(A, [1], ()) == tw.generator_series(A, (1,), ())
 
 
 def test_mode_index_off_lattice_rejected():
@@ -271,7 +281,7 @@ def test_invariant_vectors_have_integral_modes():
         assert cycle_rotate(cv) == cv
         for wm in ((), (1,), (2,), (1, 1)):
             for pm in ((), (1,), (2,), (1, 1), (2, 1)):
-                for n in tw.mode_support(cv, st(W, wm), st(WD, pm)):
+                for n in mode_support(tw, cv, st(W, wm), st(WD, pm)):
                     assert Fraction(n).denominator == 1
 
 
@@ -470,17 +480,21 @@ def test_full_mode_element_on_vectors():
     wp = GradedVector(WD, {(1,): rat(1), (): rat(5)})
     for m in range(-3, 4):
         n = Fraction(m, 2)
-        direct = tw.full_mode_element(u, n, w, wp)
+        direct = full_mode_element(tw, u, n, w, wp)
         via_apply = dual_pairing(tw.mode_apply(u, n, w), wp)
         assert (direct - via_apply).is_zero()
 
 
 def test_fock_grading_offset():
-    from voablocks.voa import FockModule
+    # L_0 on a Fock state is its stored grade plus the momentum vacuum's
+    # conformal weight momentum^2 / 2
+    from voablocks.voa import FockModule, virasoro_mode
 
-    Wl = FockModule(H, rat(2, 3))
-    assert Wl.grading_offset == rat(2, 9)
-    assert W.grading_offset.is_zero()
+    for momentum, offset in ((rat(2, 3), rat(2, 9)), (0, 0)):
+        Wl = FockModule(H, momentum)
+        for mono in ((), (1,), (2, 1)):
+            state = st(Wl, mono)
+            assert virasoro_mode(0, state) == state.scale(offset + sum(mono))
 
 
 def test_jacobi_degenerates_on_vacuum_inputs():
