@@ -2,11 +2,17 @@
 
 A Scalar is one of two variants:
 
-* rational        -- a ``fractions.Fraction`` in lowest terms,
-* cyclotomic(k)   -- a vector of rationals over the power basis
+* rational        -- an ``int`` when integral, else a ``fractions.Fraction``
+                     in lowest terms,
+* cyclotomic(k)   -- a vector of such rationals over the power basis
                      1, w, ..., w^(d-1) of the k-th cyclotomic field,
                      where w is the primitive k-th root of unity whose
                      float value is exp(-2*pi*i/k) (clockwise convention).
+
+That is the form ``stored`` gives, and every constructor and operation
+passes its rationals through ``stored``: a rational Scalar stores as its
+value, and integer sums build no ``Fraction``.  Constructors take an ``int``
+or a ``Fraction`` only; a float or a bool raises TypeError.
 
 Arithmetic between a rational and a cyclotomic promotes to cyclotomic;
 between cyclotomics of different k it raises (use ``embed`` explicitly).
@@ -77,7 +83,7 @@ def _field_degree(k: int) -> int:
 
 
 def _reduce_mod_cyclotomic(vec, k):
-    """Reduce a coefficient list mod Phi_k, returning a tuple of length deg."""
+    """Reduce a coefficient list mod Phi_k, returning a list of length deg."""
     phi = cyclotomic_polynomial(k)
     d = len(phi) - 1
     vec = list(vec)
@@ -86,15 +92,15 @@ def _reduce_mod_cyclotomic(vec, k):
         if c == 0:
             continue
         # x^i = x^(i-d) * (x^d - Phi_k(x)) since Phi_k is monic
-        vec[i] = Fraction(0)
+        vec[i] = 0
         for j in range(d):
             vec[i - d + j] -= c * phi[j]
-    vec = vec[:d] + [Fraction(0)] * (d - len(vec))
-    return tuple(Fraction(c) for c in vec)
+    return vec[:d] + [0] * (d - len(vec))
 
 
 def _poly_xgcd(a, b):
-    # Extended Euclid over Q[x] for lists of Fractions (ascending).
+    # Extended Euclid over Q[x] for lists of rationals (ascending); each
+    # quotient coefficient divides through Fraction, since int / int is a float.
     def deg(p):
         for i in range(len(p) - 1, -1, -1):
             if p[i] != 0:
@@ -105,18 +111,18 @@ def _poly_xgcd(a, b):
         return p[: deg(p) + 1] if deg(p) >= 0 else []
 
     def sub_scaled(p, q, c, shift):
-        p = list(p) + [Fraction(0)] * max(0, deg(q) + shift + 1 - len(p))
+        p = list(p) + [0] * max(0, deg(q) + shift + 1 - len(p))
         for i, qi in enumerate(q):
             p[i + shift] -= c * qi
         return trim(p)
 
     r0, r1 = trim(list(a)), trim(list(b))
-    s0, s1 = [Fraction(1)], []
+    s0, s1 = [1], []
     while r1:
         r = list(r0)
-        q = [Fraction(0)] * (deg(r0) - deg(r1) + 1) if deg(r0) >= deg(r1) else []
+        q = [0] * (deg(r0) - deg(r1) + 1) if deg(r0) >= deg(r1) else []
         while deg(r) >= deg(r1):
-            c = r[deg(r)] / r1[deg(r1)]
+            c = Fraction(r[deg(r)]) / r1[deg(r1)]
             shift = deg(r) - deg(r1)
             q[shift] = c
             r = sub_scaled(r, r1, c, shift)
@@ -127,9 +133,6 @@ def _poly_xgcd(a, b):
                 s = sub_scaled(s, s1, c, shift)
         r0, r1, s0, s1 = r1, r, s1, s
     return r0, s0  # gcd, Bezout coefficient of a
-
-
-_ZERO = Fraction(0)
 
 
 class Scalar:
@@ -146,29 +149,33 @@ class Scalar:
 
     @staticmethod
     def integer(n: int) -> "Scalar":
-        return Scalar(rat=Fraction(n))
+        if type(n) is not int:
+            raise TypeError(f"Scalar.integer needs an int, not {type(n).__name__}")
+        return Scalar(rat=n)
 
     @staticmethod
     def rational(p, q=1) -> "Scalar":
-        return Scalar(rat=Fraction(p, q))
+        return Scalar(rat=stored(Fraction(p, q)))
 
     @staticmethod
     def from_fraction(f: Fraction) -> "Scalar":
-        return Scalar(rat=Fraction(f))
+        if type(f) is not int and type(f) is not Fraction:
+            raise TypeError(f"Scalar.from_fraction needs an int or a Fraction, not {type(f).__name__}")
+        return Scalar(rat=stored(f))
 
     @staticmethod
     def root_of_unity(k: int, power: int = 1) -> "Scalar":
         """The primitive k-th root with float value exp(-2*pi*i/k), raised to power."""
-        vec = [_ZERO] * (k + 1)
-        vec[power % k] = Fraction(1)
-        vec = _reduce_mod_cyclotomic(vec, k)
-        return Scalar._make_cyc(k, vec)
+        vec = [0] * (k + 1)
+        vec[power % k] = 1
+        return Scalar._make_cyc(k, _reduce_mod_cyclotomic(vec, k))
 
     @staticmethod
     def _make_cyc(k, vec) -> "Scalar":
-        if all(c == 0 for c in vec[1:]):
-            return Scalar(rat=vec[0] if vec else _ZERO)
-        return Scalar(k=k, vec=tuple(vec))
+        vec = tuple(map(stored, vec))
+        if not any(vec[1:]):
+            return Scalar(rat=vec[0] if vec else 0)
+        return Scalar(k=k, vec=vec)
 
     # ---- predicates ---------------------------------------------------
 
@@ -186,18 +193,19 @@ class Scalar:
 
     @staticmethod
     def _coerce(x) -> "Scalar":
-        if isinstance(x, Scalar):
+        t = type(x)  # not isinstance: a bool is no exact scalar
+        if t is Scalar:
             return x
-        if isinstance(x, int):
-            return Scalar(rat=Fraction(x))
-        if isinstance(x, Fraction):
+        if t is int:
             return Scalar(rat=x)
-        raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
+        if t is Fraction:
+            return Scalar(rat=stored(x))
+        raise TypeError(f"cannot coerce {t.__name__} to Scalar")
 
     def _as_vec(self, k):
         if self._rat is not None:
             d = _field_degree(k)
-            return (Fraction(self._rat),) + (_ZERO,) * (d - 1)
+            return (self._rat,) + (0,) * (d - 1)
         if self._k != k:
             raise ScalarError(
                 f"mixing cyclotomic fields k={self._k} and k={k} needs an explicit embed"
@@ -226,8 +234,7 @@ class Scalar:
         if k % self._k != 0:
             raise ScalarError(f"no canonical embedding of k={self._k} into k={k}")
         m = k // self._k
-        vec = [_ZERO] * (_field_degree(self._k) * m + 1)
-        out = [_ZERO] * (len(vec) + k)
+        out = [0] * (_field_degree(self._k) * m + 1 + k)
         for i, c in enumerate(self._vec):
             out[i * m] += c
         return Scalar._make_cyc(k, _reduce_mod_cyclotomic(out, k))
@@ -240,7 +247,7 @@ class Scalar:
         except TypeError:
             return NotImplemented
         if self._rat is not None and other._rat is not None:
-            return Scalar(rat=self._rat + other._rat)
+            return Scalar(rat=stored(self._rat + other._rat))
         k, a, b = self._common_field(other)
         return Scalar._make_cyc(k, tuple(x + y for x, y in zip(a, b)))
 
@@ -252,7 +259,7 @@ class Scalar:
         except TypeError:
             return NotImplemented
         if self._rat is not None and other._rat is not None:
-            return Scalar(rat=self._rat - other._rat)
+            return Scalar(rat=stored(self._rat - other._rat))
         k, a, b = self._common_field(other)
         return Scalar._make_cyc(k, tuple(x - y for x, y in zip(a, b)))
 
@@ -265,9 +272,9 @@ class Scalar:
         except TypeError:
             return NotImplemented
         if self._rat is not None and other._rat is not None:
-            return Scalar(rat=self._rat * other._rat)
+            return Scalar(rat=stored(self._rat * other._rat))
         k, a, b = self._common_field(other)
-        out = [_ZERO] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x == 0:
                 continue
@@ -282,11 +289,10 @@ class Scalar:
         if self.is_zero():
             raise ZeroDivisionError("scalar division by zero")
         if self._rat is not None:
-            return Scalar(rat=1 / self._rat)
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self._k)]
-        g, s = _poly_xgcd(list(self._vec), phi)
+            return Scalar(rat=reciprocal(self._rat))
+        g, s = _poly_xgcd(self._vec, cyclotomic_polynomial(self._k))
         # gcd is a nonzero constant since Phi_k is irreducible
-        c = g[0]
+        c = Fraction(g[0])
         inv = [x / c for x in s]
         return Scalar._make_cyc(self._k, _reduce_mod_cyclotomic(inv, self._k))
 
@@ -295,7 +301,7 @@ class Scalar:
         if other._rat is not None:
             if other._rat == 0:
                 raise ZeroDivisionError("scalar division by zero")
-            return self * Scalar(rat=1 / other._rat)
+            return self * Scalar(rat=reciprocal(other._rat))
         return self * other.inverse()
 
     def __rtruediv__(self, other):
@@ -312,7 +318,7 @@ class Scalar:
         if n < 0:
             return self.inverse() ** (-n)
         if self._rat is not None:
-            return Scalar(rat=self._rat**n)
+            return Scalar(rat=stored(self._rat**n))
         result = Scalar.integer(1)
         base = self
         while n:
@@ -376,11 +382,11 @@ class Scalar:
         raise ValueError(f"not an exact rat or cyc scalar: {obj!r}")
 
 
-def _json_fraction(pair) -> Fraction:
+def _json_fraction(pair):
     p, q = pair
     if not (type(p) is int and type(q) is int):  # a JSON true or false is no integer
         raise TypeError("rational coordinates must be integer pairs")
-    return Fraction(p, q)
+    return stored(Fraction(p, q))
 
 
 def stored(c):
@@ -392,17 +398,15 @@ def stored(c):
     t = type(c)
     if t is int:
         return c
+    if t is Fraction:
+        return c.numerator if c.denominator == 1 else c
     if t is Scalar:
-        if c._rat is None:
-            return c
-        c = c._rat
-    elif t is not Fraction:
-        from .series import FracLaurent  # imported here: series imports this module
+        return c if c._rat is None else c._rat
+    from .series import FracLaurent  # imported here: series imports this module
 
-        if isinstance(c, FracLaurent):
-            return c
-        raise TypeError(f"cannot store {t.__name__} as an exact coefficient")
-    return c.numerator if c.denominator == 1 else c
+    if isinstance(c, FracLaurent):
+        return c
+    raise TypeError(f"cannot store {t.__name__} as an exact coefficient")
 
 
 def reciprocal(c):

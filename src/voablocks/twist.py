@@ -240,15 +240,6 @@ class TwistedModule:
                         _acc(out, out_mono, val * c)
         return GradedVector(self.module, out)
 
-    def generator_mode_apply(self, v: GradedVector, n, w: GradedVector) -> GradedVector:
-        """Y^g(v (x) 1 ... (x) 1)_n w through the generator formula: the
-        slot-0 case of ``slot_mode_apply``, whose root point is t itself."""
-        kn = self.kn_index(n)
-        out = {}
-        for vm, c in v.terms.items():
-            self._add_slot_modes(out, vm, 0, kn, w, c)
-        return GradedVector(self.module, out)
-
 
 # ---------------------------------------------------------------------------
 # axiom checks

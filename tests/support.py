@@ -59,6 +59,15 @@ def mode_support(tw, u, w, wp):
     return sorted(-(e / tw.k) - 1 for e in tw._matrix_series(u, w, wp).terms)
 
 
+def generator_mode_apply(tw, v, n, w):
+    """Y^g(v (x) 1 ... (x) 1)_n w through the generator formula: the slot-0
+    case of ``slot_mode_apply``, summed over the monomials of v."""
+    out = GradedVector(tw.module)
+    for vm, c in v.terms.items():
+        out = out + tw.slot_mode_apply(vm, 0, n, w).scale(c)
+    return out
+
+
 def pair_field(alg, v, z0, x, wp, depth=28):
     """<Y(v, z0) x, wp>: exact, finite once paired against a bounded dual."""
     out = Scalar.integer(0)

@@ -1,9 +1,12 @@
-"""The benchmark recorder's summary of perfbench results, on canned runs."""
+"""The benchmark recorder: its summary of perfbench results, on canned runs,
+and its pinned CLI runs."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from voablocks import cli
 
 _SPEC = importlib.util.spec_from_file_location(
     "bench_record", Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
@@ -58,3 +61,11 @@ def test_one_run_is_its_own_median_and_quartiles():
     assert bench_record.quartiles([0.2]) == (0.2, 0.2, 0.2)
     metric = summary["propagate-sew"]["metrics"]["cold_s"]
     assert (metric["q1"], metric["median"], metric["q3"]) == (0.2, 0.2, 0.2)
+
+
+@pytest.mark.parametrize("name, args", bench_record.CLI_RUNS, ids=[name for name, _ in bench_record.CLI_RUNS])
+def test_each_pinned_cli_run_parses(name, args):
+    # a pinned run the CLI would refuse records an exit status, not a time
+    parsed = cli.build_parser().parse_args(args)
+    assert parsed.subcommand == args[0]
+    assert " ".join(args) == name

@@ -223,3 +223,151 @@ def test_embedding_and_float_value_preserve_sum_and_product(triple):
     assert (a * b).embed(m) == a.embed(m) * b.embed(m)
     for exact, approx in ((a + b, a.to_complex() + b.to_complex()), (a * b, a.to_complex() * b.to_complex())):
         assert abs(exact.to_complex() - approx) <= 1e-9 * max(1.0, abs(approx))
+
+
+# ---- the stored form inside a Scalar, against a Fraction-only reference ----
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Scalar.integer(2.5),
+        lambda: Scalar.integer(True),
+        lambda: Scalar.from_fraction(0.1),
+        lambda: Scalar.from_fraction(False),
+        lambda: Scalar._coerce(True),
+        lambda: Scalar._coerce(0.5),
+        lambda: Scalar.integer(1) + 0.5,
+        lambda: Scalar.integer(1) * True,
+    ],
+)
+def test_floats_and_bools_are_no_exact_scalars(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def _ref_reduce(coords, k):
+    # coordinates (Fractions, ascending) reduced mod Phi_k by long division
+    phi = [Fraction(c) for c in cyclotomic_polynomial(k)]
+    d = len(phi) - 1
+    coords = [Fraction(c) for c in coords]
+    for i in range(len(coords) - 1, d - 1, -1):
+        c = coords[i]
+        coords[i] = Fraction(0)
+        for j in range(d):
+            coords[i - d + j] -= c * phi[j]
+    return coords[:d] + [Fraction(0)] * (d - len(coords))
+
+
+def _ref_mul(a, b, k):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_reduce(out, k)
+
+
+def _ref(x, k):
+    """The Fraction coordinates of a Scalar over 1, w_k, ..., w_k^(d-1)."""
+    d = len(cyclotomic_polynomial(k)) - 1
+    if not x.is_cyclotomic():
+        return [Fraction(x._rat)] + [Fraction(0)] * (d - 1)
+    assert x._k == k
+    return [Fraction(c) for c in x._vec]
+
+
+def _assert_stored_form(x):
+    if x.is_cyclotomic():
+        assert x._rat is None
+        coords = x._vec
+        assert any(coords[1:])  # a purely rational vector demotes
+    else:
+        assert x._vec is None
+        coords = (x._rat,)
+        # a rational Scalar equals and hashes as the int or Fraction it holds
+        r = Fraction(x._rat)
+        assert x == r and hash(x) == hash(r)
+        if r.denominator == 1:
+            assert x == int(r) and hash(x) == hash(int(r))
+    for c in coords:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (x, c)
+
+
+_stored_coordinate = st.tuples(st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 4])).map(list)
+
+
+@st.composite
+def _field_pairs(draw):
+    """(k, a, b): two elements of Q (k = 1) or of Q(w_k), k in 3, 4, 5, 7,
+    many of them integral or with integral coordinates."""
+    k = draw(st.sampled_from([1, 3, 4, 5, 7]))
+
+    def element():
+        if k == 1:
+            return Scalar.from_json({"rat": draw(_stored_coordinate)})
+        vec = draw(st.lists(_stored_coordinate, min_size=1, max_size=k - 1))
+        return Scalar.from_json({"cyc": {"k": k, "vec": vec}})
+
+    return k, element(), element()
+
+
+@_field_law_settings
+@given(_field_pairs(), st.sampled_from([0, 1, 2, -1, Fraction(1, 2), Fraction(-4, 2)]), st.integers(-3, 3))
+def test_results_keep_the_stored_form_and_match_a_fraction_reference(pair, c, e):
+    k, a, b = pair
+    ra, rb = _ref(a, k), _ref(b, k)
+    rc = [Fraction(c)] + [Fraction(0)] * (len(ra) - 1)
+    one = [Fraction(1)] + [Fraction(0)] * (len(ra) - 1)
+    results = [
+        (a + b, [x + y for x, y in zip(ra, rb)]),
+        (a - b, [x - y for x, y in zip(ra, rb)]),
+        (a * b, _ref_mul(ra, rb, k)),
+        (a + c, [x + y for x, y in zip(ra, rc)]),
+        (c - a, [y - x for x, y in zip(ra, rc)]),
+        (a * c, _ref_mul(ra, rc, k)),
+        (-a, [-x for x in ra]),
+    ]
+    for x, ref in results:
+        _assert_stored_form(x)
+        assert _ref(x, k) == ref
+    power = one
+    for _ in range(abs(e)):
+        power = _ref_mul(power, ra, k)
+    if e >= 0:
+        _assert_stored_form(a**e)
+        assert _ref(a**e, k) == power
+    for y, ry in ((a, ra), (b, rb), (Scalar._coerce(c), rc)):
+        if y.is_zero():
+            continue
+        inv = y.inverse()
+        _assert_stored_form(inv)
+        assert _ref_mul(_ref(inv, k), ry, k) == one
+        for q in (a / y, 1 / y, y**-1, y**e):
+            _assert_stored_form(q)
+        assert _ref_mul(_ref(a / y, k), ry, k) == ra
+        assert _ref(1 / y, k) == _ref(inv, k) == _ref(y**-1, k)
+    if e < 0 and not a.is_zero():
+        assert _ref_mul(_ref(a**e, k), power, k) == one
+    # embedding into Q(w_m), m a multiple of k: w_k goes to w_m^(m/k)
+    m = 2 * k if k > 1 else 4
+    step = m // k if k > 1 else 0
+    for y, ry in ((a, ra), (b, rb), (a * b, _ref_mul(ra, rb, k))):
+        z = y.embed(m)
+        _assert_stored_form(z)
+        lifted = [Fraction(0)] * (step * len(ry) + 1)
+        for i, coord in enumerate(ry):
+            lifted[i * step] += coord
+        assert _ref(z, m) == _ref_reduce(lifted, m)
+
+
+@_field_law_settings
+@given(_field_pairs())
+def test_equal_values_hash_alike_whatever_their_route(pair):
+    k, a, b = pair
+    # one value reached by routes through Fractions and through ints
+    for x, y in ((a * 2 / 2, a), ((a + Fraction(1, 2)) - Fraction(1, 2), a), (a * b - b * a, Scalar.integer(0))):
+        _assert_stored_form(x)
+        assert x == y and hash(x) == hash(y)
+    if a.is_cyclotomic():
+        rebuilt = Scalar.from_json({"cyc": {"k": k, "vec": [[c.numerator, c.denominator] for c in _ref(a, k)]}})
+        assert rebuilt == a and hash(rebuilt) == hash(a)

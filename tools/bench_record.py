@@ -1,14 +1,15 @@
 """Record one point of the benchmark trajectory as a BENCH_<n>.json file.
 
-    python3 tools/bench_record.py --out BENCH_23.json --seeds 7001,7002,7003
+    python3 tools/bench_record.py --out BENCH_25.json --seeds 2811,2812,2813
 
 Run from the root of a source checkout.  For each workload named in
 ``BENCHMARK.json`` and each seed it runs the unchanged
 ``perfbench/run.py --trace 0`` in a subprocess, for the ``run_seconds``
 that ``BENCHMARK.json`` fixes, and keeps the JSON line it
 prints; the file gets the median and quartiles of every end-to-end metric
-per workload.  It then times whole-process CLI runs at pinned configs
-(``jacobi-check --grade 4`` at one and at two threads), wall-clock and the
+per workload.  It then times whole-process CLI runs at the pinned configs of
+``CLI_RUNS`` (``jacobi-check --grade 4`` at one and at two threads, ``sew``
+at grade cutoff 40 and sewing order 32, ``twist-check --k 5``), wall-clock and the
 CPU time of the process and its children, and records the host: usable
 CPUs and the Python version.  Runs go one at a time, so they do not compete
 for cores.
@@ -30,6 +31,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CLI_RUNS = (
     ("jacobi-check --grade 4 --threads 1", ["jacobi-check", "--grade", "4", "--threads", "1"]),
     ("jacobi-check --grade 4 --threads 2", ["jacobi-check", "--grade", "4", "--threads", "2"]),
+    ("sew --cutoff-grade 40 --cutoff-q 32", ["sew", "--cutoff-grade", "40", "--cutoff-q", "32"]),
+    ("twist-check --k 5", ["twist-check", "--k", "5"]),
 )
 
 
