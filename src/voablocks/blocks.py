@@ -1,6 +1,7 @@
 """Genus-0 conformal blocks as exactly evaluable functionals.
 
-Two evaluation paths are provided everywhere and cross-checked in tests:
+For the Heisenberg algebra two evaluation paths are provided and
+cross-checked in tests; the other algebras have the second one only:
 
 * an exact closed-form oracle for the Heisenberg algebra, summing Wick
   pair contractions of free-boson modes into a symbolic rational function
@@ -46,10 +47,10 @@ def _stored_points(points, series_data):
 class RationalExpr:
     """Sum of terms coef * prod z_i^e_i * prod (z_i - z_j)^e_ij (i < j).
 
-    Coefficients are stored values (``scalars.stored``), or formal series
-    when a parameter rides along.  This normal form is closed under the
-    arithmetic the Wick oracle needs and supports exact evaluation,
-    substitution of series for the points, and chamber expansions.
+    Coefficients are stored values (``scalars.stored``), numbers and never
+    series.  This normal form is closed under the arithmetic the Wick oracle
+    needs and supports exact evaluation, substitution of series for the
+    points, and chamber expansions.
     """
 
     __slots__ = ("terms",)
@@ -59,7 +60,7 @@ class RationalExpr:
         self.terms = {}
         for key, c in (terms or {}).items():
             c = stored(c)
-            if c or (isinstance(c, FracLaurent) and c.trunc is not None):  # a truncated zero is no zero
+            if c:
                 self.terms[key] = c
 
     @staticmethod
@@ -145,12 +146,9 @@ class RationalExpr:
             lat = lat * p.k // math.gcd(lat, p.k)
         total = FracLaurent.zero(var, lat, trunc)
         for (zp, dp), c in self.terms.items():
-            if isinstance(c, FracLaurent):
-                val = c.rename(var)
-            else:
-                val = FracLaurent(var, 1, {Fraction(0): c})
+            val = FracLaurent(var, 1, {0: c})
             factors = [(pts[i], e) for i, e in zp] + [(pts[i] - pts[j], e) for (i, j), e in dp]
-            low = _lower_bound(val)
+            low = 0
             for f, e in factors:
                 bound = _lower_bound(f)
                 if bound is None:  # an exact-zero factor

@@ -123,6 +123,10 @@ class RunConfig:
         for key in ("algebra", "cutoffs", "params"):
             if not isinstance(obj.get(key, {}), dict):
                 raise ConfigError(key, "must be a JSON object")
+        for key, allowed in (("algebra", {"kind", "momentum"}), ("cutoffs", {"L", "N"})):
+            for name in obj.get(key, {}):
+                if name not in allowed:
+                    raise ConfigError(f"{key}.{name}", "unknown field")
         cfg = RunConfig(subcommand=obj["subcommand"])
         cfg.algebra = obj.get("algebra", cfg.algebra)
         cfg.cutoffs = {**cfg.cutoffs, **obj.get("cutoffs", {})}

@@ -10,9 +10,9 @@ to that order).  Its action on a graded vector is
     c0^{L0} * exp( sum_{n>0} c_n L_n ),
 
 a finite sum on each homogeneous piece because L_n strictly lowers weight.
-Coefficients are stored values (``scalars.stored``) or formal Laurent
-monomials/series in an auxiliary parameter (as needed by the k-th-root chart
-changes), in which case c0 must stay invertible in that ring.
+Coefficients are stored values (``scalars.stored``): exact numbers, never
+series.  The k-th-root chart changes are taken at exact points too, since
+by L_0-covariance their dependence on the point is a power of it per weight.
 """
 
 from __future__ import annotations
@@ -111,8 +111,6 @@ def solve_coefficients(taylor) -> CoordChange:
 def _taylor_series(rho: CoordChange, order: int) -> FracLaurent:
     """rho(z) as a power series in z, truncated above z^order."""
     t = taylor_coefficients(rho, order)
-    if any(isinstance(a, FracLaurent) for a in t):
-        raise ValueError("composition and inversion are implemented for scalar coefficients")
     return FracLaurent("z", 1, {Fraction(m): a for m, a in enumerate(t, start=1)}, trunc=order + 1)
 
 
@@ -121,13 +119,12 @@ def _from_series(f: FracLaurent, order: int) -> CoordChange:
 
 
 def compose(rho1: CoordChange, rho2: CoordChange, order: int) -> CoordChange:
-    """Coefficients of z -> rho1(rho2(z)) to the given order; scalar
-    coefficients only."""
+    """Coefficients of z -> rho1(rho2(z)) to the given order."""
     return _from_series(_taylor_series(rho1, order).compose(_taylor_series(rho2, order), order + 1), order)
 
 
 def invert(rho: CoordChange, order: int) -> CoordChange:
-    """The compositional inverse to the given order; scalar coefficients only."""
+    """The compositional inverse to the given order."""
     return _from_series(_taylor_series(rho, order).reverse(order), order)
 
 
@@ -159,24 +156,17 @@ def chart_transition(eta: FracLaurent, mu: FracLaurent, p, order: int) -> CoordC
     return _from_series(te.compose(inv, order + 1), order)
 
 
-def kth_root_shift(k: int, order: int, s="s") -> CoordChange:
-    """The chart change from (zeta^k - p^k) to (zeta - p) at a point p with
-    p = s: the transformation t -> (s^k + t)^(1/k) - s, whose Taylor
-    coefficient at t^m is C(1/k, m) s^(1-mk).
-
-    ``s`` may be a variable name (giving exact Laurent-monomial coefficients)
-    or an explicit scalar or FracLaurent value of the point.
-    """
+def kth_root_shift(k: int, order: int, s) -> CoordChange:
+    """The chart change from (zeta^k - s^k) to (zeta - s) at the exact
+    nonzero point s: the transformation t -> (s^k + t)^(1/k) - s, whose
+    Taylor coefficient at t^m is C(1/k, m) s^(1-mk)."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    base = FracLaurent.variable(s) if isinstance(s, str) else stored(s)
-    taylor = []
-    for m in range(1, order + 1):
-        coef = exact_pow(base, 1 - m * k) * binomial(Fraction(1, k), m)
-        if isinstance(coef, FracLaurent) and set(coef.terms) <= {Fraction(0)} and coef.trunc is None:
-            coef = coef.terms.get(Fraction(0), 0)  # k = 1: the exponent drops out
-        taylor.append(coef)
-    return solve_coefficients(taylor)
+    s = stored(s)
+    if not s:
+        raise ValueError("the root point must be off the origin")
+    r = Fraction(1, k)
+    return solve_coefficients([exact_pow(s, 1 - m * k) * binomial(r, m) for m in range(1, order + 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -43,16 +43,3 @@ def solve(rows, rhs, cols: int):
     for r, col in enumerate(pivots):
         x[col] = stored(a[r][cols])
     return x, len(pivots) == cols
-
-
-def invert(matrix):
-    """Exact inverse of a square matrix, or None if singular."""
-    n = len(matrix)
-    cols = []
-    for j in range(n):
-        rhs = [1 if i == j else 0 for i in range(n)]
-        sol = solve(matrix, rhs, n)
-        if sol is None or not sol[1]:
-            return None
-        cols.append(sol[0])
-    return [[cols[j][i] for j in range(n)] for i in range(n)]

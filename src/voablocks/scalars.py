@@ -21,8 +21,9 @@ rational variant, so equality and hashing are canonical.  ``to_complex``
 gives the float value of either variant.
 
 Containers (vectors, mode tables, series, rational expressions, coordinate
-changes, linear systems) keep every exact coefficient in the one form that
-``stored`` decides, and code between them multiplies stored values directly;
+changes, linear systems) keep every exact coefficient, a number and never a
+series, in the one form that ``stored`` decides, and code between them
+multiplies stored values directly;
 ``reciprocal`` and ``exact_pow`` keep inverses and powers of an ``int``
 exact.  Scalars are built for callers, at the public boundary.
 """
@@ -393,8 +394,7 @@ def stored(c):
     """The stored form of an exact coefficient: an ``int`` when integral, a
     ``Fraction`` when rational, a Scalar only when cyclotomic, so each value
     has one type and one hash, and a stored value is zero exactly when it is
-    falsy.  A FracLaurent (a formal parameter riding along) passes unchanged;
-    anything else raises TypeError."""
+    falsy.  Anything else, a float, a bool or a series, raises TypeError."""
     t = type(c)
     if t is int:
         return c
@@ -402,16 +402,12 @@ def stored(c):
         return c.numerator if c.denominator == 1 else c
     if t is Scalar:
         return c if c._rat is None else c._rat
-    from .series import FracLaurent  # imported here: series imports this module
-
-    if isinstance(c, FracLaurent):
-        return c
     raise TypeError(f"cannot store {t.__name__} as an exact coefficient")
 
 
 def reciprocal(c):
     """1/c of a stored value, stored: a rational through Fraction (int / int
-    is a float), a cyclotomic Scalar or a series by its own inverse."""
+    is a float), a cyclotomic Scalar by its own inverse."""
     if type(c) is int or type(c) is Fraction:
         return stored(Fraction(1) / c)
     return c.inverse()

@@ -71,10 +71,6 @@ class FracLaurent:
             k = exp.denominator
         return FracLaurent(var, k, {exp: coef})
 
-    @staticmethod
-    def variable(var: str, k: int = 1) -> "FracLaurent":
-        return FracLaurent.monomial(var, 1, 1, k)
-
     # ---- basic queries ---------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -257,14 +253,6 @@ class FracLaurent:
         if self.trunc is not None and self.trunc <= -1:
             raise TruncationError("residue lies beyond the truncation order")
         return Scalar._coerce(self.terms.get(Fraction(-1), 0))
-
-    def derivative(self) -> "FracLaurent":
-        return FracLaurent(
-            self.var,
-            self.k,
-            {e - 1: c * e for e, c in self.terms.items() if e != 0},
-            None if self.trunc is None else self.trunc - 1,
-        )
 
     def compose(self, inner: "FracLaurent", order) -> "FracLaurent":
         """self(inner), truncated at the given order.

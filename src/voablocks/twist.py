@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .blocks import _apply_field, heisenberg_correlator
+from .blocks import RationalExpr, _apply_field, heisenberg_correlator
 from .coordchange import apply_coord_change, kth_root_shift
 from .scalars import MAX_CYCLOTOMIC_ORDER, Scalar, reciprocal, stored
 from .series import FracLaurent, binomial_expand
@@ -296,6 +296,10 @@ def product_expansion_check(tw: TwistedModule, u: GradedVector, v_slots, w, wp, 
     mode composition <Y^g(Y(u, x_1) v_1 (x) v_2 ... , xi) w, w'>|_{x_1 = kappa}
     coefficient by coefficient.
 
+    u is chart-corrected at the series point z_1 by L_0-covariance,
+    R(rho_s) = s^{L_0} R(rho_1) s^{-k L_0}: the weight-hw part of R(rho_1) u
+    carries z_1^(hw - k wt u), so z_1 enters the oracle only as a point.
+
     Returns (ok, lhs_series, rhs_series) with both series in kappa."""
     k = tw.k
     xi = stored(s_xi) ** k
@@ -306,13 +310,11 @@ def product_expansion_check(tw: TwistedModule, u: GradedVector, v_slots, w, wp, 
     rel = FracLaurent.monomial(kv, 1, reciprocal(xi))
     z1 = binomial_expand(s_xi, rel, Fraction(1, k), order + depth)
     xipts = _root_points(k, s_xi)
-    cu = _chart_corrected(k, u, z1)
     cv = [_chart_corrected(k, v, p) for v, p in zip(v_slots, xipts)]
-    expr = heisenberg_correlator([cu] + cv, w, wp)
-    pts = {0: z1}
-    for i, p in enumerate(xipts):
-        pts[i + 1] = FracLaurent(kv, 1, {Fraction(0): p})
-    lhs = expr.substitute(pts, kv, trunc=order)
+    expr = RationalExpr()
+    for hw, part in _chart_corrected(k, u, 1).weight_components().items():
+        expr = expr + heisenberg_correlator([part] + cv, w, wp) * RationalExpr.term(1, {0: hw - k * wt_u})
+    lhs = expr.substitute(dict(enumerate([z1] + xipts)), kv, trunc=order)
 
     rhs = FracLaurent.zero(kv, 1, trunc=order)
     for m in range(-order - 1, wt_u + wt_v1):

@@ -46,7 +46,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .scalars import Scalar, binomial, stored
-from .series import FracLaurent
 
 class CutoffOverflow(Exception):
     """A result would live above the hard weight wall of the algebra."""
@@ -471,11 +470,10 @@ class GradedVector:
     """Finite combination of weighted basis monomials of one space.
 
     Coefficients are in the stored form of ``scalars.stored``: an ``int``
-    (when integral), a ``Fraction``, a cyclotomic ``Scalar``, or a FracLaurent
-    series when a formal parameter rides along (e.g. coordinate-change
-    images inside the twisted machinery).  The constructor copies its input,
-    brings every value to that one type and drops exact zeros (not a truncated
-    zero series), so equal vectors have equal ``terms`` items, hashes included.
+    (when integral), a ``Fraction`` or a cyclotomic ``Scalar``; a series
+    raises TypeError.  The constructor copies its input, brings every value
+    to that one type and drops zeros, so equal vectors have equal ``terms``
+    items, hashes included.
     """
 
     __slots__ = ("space", "terms")
@@ -486,7 +484,7 @@ class GradedVector:
         for m, c in (terms or {}).items():
             if type(c) is not int:
                 c = stored(c)
-            if c or (isinstance(c, FracLaurent) and c.trunc is not None):  # a truncated zero is no zero
+            if c:
                 clean[m] = c
         self.terms = clean
 
@@ -559,9 +557,8 @@ class GradedVector:
         return max((self.space.weight(m) for m in self.terms), default=0)
 
     def coefficient(self, mono):
-        """The coefficient of a basis monomial, as a Scalar for a scalar one."""
-        c = self.terms.get(tuple(mono), 0)
-        return c if isinstance(c, FracLaurent) else Scalar._coerce(c)
+        """The coefficient of a basis monomial, as a Scalar."""
+        return Scalar._coerce(self.terms.get(tuple(mono), 0))
 
 
 # ---------------------------------------------------------------------------
@@ -694,12 +691,10 @@ def virasoro_mode(n: int, w: GradedVector) -> GradedVector:
 
 
 def dual_pairing(w: GradedVector, wp: GradedVector):
-    """<w, w'> with w' in the graded dual of w's module: a Scalar, or a
-    FracLaurent where a formal parameter rides along."""
+    """<w, w'> with w' in the graded dual of w's module, a Scalar."""
     if not getattr(wp.space, "is_dual", False) or wp.space.base is not w.space:
         raise ValueError("mismatched module descriptors in dual pairing")
-    total = _pairing(w, wp)
-    return total if isinstance(total, FracLaurent) else Scalar._coerce(total)
+    return Scalar._coerce(_pairing(w, wp))
 
 
 def _pairing(w: GradedVector, wp: GradedVector):

@@ -1,6 +1,8 @@
 """Shared builders for the test suite."""
 
+from voablocks import linalg
 from voablocks.scalars import Scalar
+from voablocks.series import FracLaurent
 from voablocks.voa import (
     FockModule,
     GradedVector,
@@ -80,3 +82,27 @@ def pair_field(alg, v, z0, x, wp, depth=28):
                 acted = GradedVector(module, {m: c * vc * xc for m, c in res.items()})
                 out = out + dual_pairing(acted, wp) * z0 ** (-n - 1)
     return out
+
+
+def derivative(f):
+    """d/dx of a series, keeping its truncation one order lower."""
+    return FracLaurent(
+        f.var,
+        f.k,
+        {e - 1: c * e for e, c in f.terms.items() if e != 0},
+        None if f.trunc is None else f.trunc - 1,
+    )
+
+
+def invert_matrix(matrix):
+    """Exact inverse of a square matrix through ``linalg.solve``, or None if
+    singular."""
+    n = len(matrix)
+    cols = []
+    for j in range(n):
+        rhs = [1 if i == j else 0 for i in range(n)]
+        sol = linalg.solve(matrix, rhs, n)
+        if sol is None or not sol[1]:
+            return None
+        cols.append(sol[0])
+    return [[cols[j][i] for j in range(n)] for i in range(n)]

@@ -340,11 +340,14 @@ def test_rank_two_components_independent():
 # the defining vanishing property at genus 0, made finite
 
 
-def _flip_twist(u, K):
-    # carries the zeta-chart trivialization to the 1/zeta chart at infinity
-    c0 = FracLaurent.monomial("z", 2, -1)
-    c1 = FracLaurent.monomial("z", 1, -1)
-    return apply_coord_change(CoordChange(c0, [c1]), u)
+def _flip_twist(u):
+    # carries the zeta-chart trivialization to the 1/zeta chart at infinity,
+    # the change c0 = -z^2, c1 = -z.  It is z^{L0} R z^{wt u} on homogeneous
+    # u, with R the change c0 = c1 = -1, so each weight-hw part of R u gains
+    # the factor z^(hw + wt u); returns {basis monomial: series in z}
+    wt_u = u.homogeneous_weight()
+    flipped = apply_coord_change(CoordChange(-1, [-1]), u)
+    return {b: FracLaurent.monomial("z", H.weight(b) + wt_u, c) for b, c in flipped.terms.items()}
 
 
 def _block_section_data(u, v, w, wp, z0, p_bound, K):
@@ -363,8 +366,7 @@ def _block_section_data(u, v, w, wp, z0, p_bound, K):
             if not val.is_zero():
                 sz0[Fraction(n)] = val
     sinf = FracLaurent.zero("z", 1, trunc=K)
-    ut = _flip_twist(u, K)
-    for b, coef in ut.terms.items():
+    for b, coef in _flip_twist(u).items():
         bvec = st(H, b)
         for m in range(-p_bound - 10, K + 10):
             img = contragredient_mode(bvec, m, wp)
@@ -404,18 +406,13 @@ def test_truncated_point_caps_the_substituted_truncation():
     assert got == exact.truncate(3)
 
 
-def test_truncated_zero_coefficient_keeps_its_truncation():
-    # O(z^3) is no exact zero: it survives construction, and substituting
-    # it gives O(z^3) under a requested truncation above it
-    term = RationalExpr.term(FracLaurent("z", 1, {}, trunc=3))
-    assert not term.is_zero()
-    got = term.substitute({}, "z", trunc=5)
-    assert got.is_zero() and got.trunc == 3
-    got = RationalExpr.term(FracLaurent("z", 1, {}, trunc=3), zpows={0: -1}).substitute(
-        {0: FracLaurent.monomial("z", 1)}, "z", trunc=5
-    )
-    assert got.is_zero() and got.trunc == 2
-    assert RationalExpr.term(FracLaurent("z", 1, {})).is_zero()
+def test_series_coefficient_is_refused():
+    # a coefficient is an exact number; series enter only as points
+    for c in (FracLaurent("z", 1, {0: 1}), FracLaurent("z"), FracLaurent("z", 1, {}, trunc=3)):
+        with pytest.raises(TypeError):
+            RationalExpr.term(c)
+        with pytest.raises(TypeError):
+            RationalExpr.term(1, zpows={0: -1}).scale(c)
 
 
 def test_substitute_refuses_coincident_points():

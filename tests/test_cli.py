@@ -29,7 +29,7 @@ def test_uc_solve_rational_input(tmp_path):
 def test_config_round_trip():
     cfg = RunConfig(
         subcommand="sew",
-        cutoffs={"L": 20, "N": 6, "M": 10},
+        cutoffs={"L": 20, "N": 6},
         points=["1/2", "3/4"],
         mode="float",
         threads=4,
@@ -392,6 +392,9 @@ def _negative_index_bound(tmp_path):
         _propagate_with_w([{"monomial": [], "coeff": {"rat": [True, 2]}}]),
         _params_config("jacobi-check", threads=True),
         _propagate_with_w([{"monomial": [], "coeff": {"cyc": {"k": True, "vec": [[1, 1]]}}}]),
+        _params_config("propagate", cutoffs={"l": 30}, points=["1/2"], params={"insertions": [[{"monomial": [1]}]]}),
+        _params_config("jacobi-check", algebra={"kind": "heisenberg", "extra": 1}),
+        _params_config("jacobi-check", algebra={"kind": "heisenberg", "momentm": "2/3"}),
     ],
     ids=[
         "malformed-json", "degenerate-taylor", "unordered-points", "missing-config", "negative-grade", "zero-k",
@@ -403,7 +406,7 @@ def _negative_index_bound(tmp_path):
         "twist-modes-k-list", "no-marked-points", "ragged-series-at-infinity", "ragged-series-at-zero",
         "taylor-not-list", "taylor-string", "mixed-fields-insertion-and-wp", "mixed-fields-u-and-w",
         "mixed-fields-in-one-vector", "boolean-k", "boolean-cutoff", "boolean-point", "boolean-rat-coeff",
-        "boolean-threads", "boolean-cyc-order",
+        "boolean-threads", "boolean-cyc-order", "unknown-cutoff", "unknown-algebra-field", "misspelled-momentum",
     ],
 )
 def test_bad_input_gives_one_line_and_exit_2(argv_for, tmp_path, capsys):
@@ -420,6 +423,17 @@ def test_residue_check_names_mismatched_data(tmp_path, capsys):
     ):
         assert main(_params_config("residue-check", params=params)(tmp_path)) == 2
         assert capsys.readouterr().err.startswith(f"config error at {path}:")
+
+
+def test_unknown_algebra_or_cutoff_field_is_named(tmp_path, capsys):
+    # a misspelled key used to be ignored: L = 24 ran in place of the meant
+    # 30, and a misspelled momentum gave momentum 0
+    for fields, path in (
+        ({"cutoffs": {"L": 20, "l": 30}}, "cutoffs.l"),
+        ({"algebra": {"kind": "heisenberg", "momentm": "2/3"}}, "algebra.momentm"),
+    ):
+        assert main(_params_config("jacobi-check", **fields)(tmp_path)) == 2
+        assert capsys.readouterr().err == f"config error at {path}: unknown field\n"
 
 
 def test_residue_check_reads_a_zero_truncation_order(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from support import heis, rat, st
+from support import derivative, heis, rat, st
 from voablocks.coordchange import (
     CoordChange,
     apply_coord_change,
@@ -75,10 +75,14 @@ def test_invert_round_trip():
 
 
 def test_series_valued_coefficients_are_refused():
-    rho = kth_root_shift(2, 4)  # coefficients are Laurent monomials in s
-    for f, args in ((compose, (rho, rho)), (compose, (CoordChange.identity(), rho)), (invert, (rho,))):
-        with pytest.raises(ValueError, match="scalar coefficients"):
-            f(*args, 4)
+    # a coefficient is an exact number, so a Laurent series in a formal
+    # parameter is refused when the change is built
+    s = FracLaurent.monomial("s", -1, rat(1, 2))
+    for args in ((s,), (1, [s]), (1, [0, FracLaurent("s", 1, {}, trunc=2)])):
+        with pytest.raises(TypeError):
+            CoordChange(*args)
+    with pytest.raises(TypeError):
+        kth_root_shift(2, 4, s)
 
 
 _small_rational = hst.builds(Scalar.rational, hst.integers(-3, 3), hst.integers(1, 3))
@@ -155,7 +159,7 @@ def test_cocycle_condition():
                 for e in range(2, 5):
                     data[e] = rat(rng.randint(-2, 2), rng.randint(1, 2))
                 f = FracLaurent("zeta", 1, data)
-                if not f.derivative().evaluate(p).is_zero():
+                if not derivative(f).evaluate(p).is_zero():
                     return f
 
         eta, mu, nu = poly(), poly(), poly()
@@ -167,19 +171,27 @@ def test_cocycle_condition():
 
 
 def test_kth_root_shift_identity():
-    assert kth_root_shift(1, 6) == CoordChange.identity()
+    for s in (rat(2, 5), -3, Scalar.root_of_unity(3, 1)):
+        assert kth_root_shift(1, 6, s) == CoordChange.identity()
 
 
 def test_kth_root_shift_taylor_data():
-    # k = 2: the Taylor data is (1/2)s^-1, -(1/8)s^-3, (1/16)s^-5, ...
-    rho = kth_root_shift(2, 4)
-    tay = taylor_coefficients(rho, 4)
-    for m, a in enumerate(tay, start=1):
-        expect = FracLaurent.monomial("s", 1 - 2 * m, Scalar.from_fraction(binomial(Fraction(1, 2), m)))
-        assert a == expect
+    # the Taylor coefficient at t^m is C(1/k, m) s^(1 - mk): for k = 2 and
+    # s = 2/5 that is (1/2)s^-1, -(1/8)s^-3, (1/16)s^-5, ...
+    s = Fraction(2, 5)
+    for k in (2, 3):
+        tay = taylor_coefficients(kth_root_shift(k, 4, s), 4)
+        assert tay == [binomial(Fraction(1, k), m) * s ** (1 - m * k) for m in range(1, 5)]
     # first coefficient for k = 3 is (1/3) s^-2
-    rho3 = kth_root_shift(3, 4)
-    assert rho3.c0 == FracLaurent.monomial("s", -2, rat(1, 3))
+    assert kth_root_shift(3, 4, s).c0 == Fraction(25, 12)
+
+
+def test_kth_root_shift_needs_a_point_off_the_origin():
+    # the Taylor data has negative powers of s; s = 0 raised a bare
+    # ZeroDivisionError from Fraction(1, 0)
+    for s in (0, rat(0), Fraction(0)):
+        with pytest.raises(ValueError, match="off the origin"):
+            kth_root_shift(2, 3, s)
 
 
 def test_kth_root_shift_matches_chart_transition():

@@ -90,6 +90,38 @@ def test_every_import_is_used():
     assert not unused, f"imported but never used: {unused}"
 
 
+def test_library_imports_form_no_cycle():
+    # an import cycle forces one side to import inside a function; every
+    # relative import counts, at module level or in a function body
+    edges = {}
+    for path in sorted(LIBRARY.glob("*.py")):
+        targets = edges.setdefault(path.stem, set())
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [node.module] if node.module else [alias.name for alias in node.names]
+                targets.update(name.partition(".")[0] for name in names)
+    done, stack = set(), []
+
+    def visit(mod):
+        # depth-first; a module met again while still on the stack closes a cycle
+        if mod in stack:
+            return stack[stack.index(mod):] + [mod]
+        if mod in done:
+            return None
+        stack.append(mod)
+        for target in sorted(edges.get(mod, ())):
+            cycle = visit(target)
+            if cycle:
+                return cycle
+        stack.pop()
+        done.add(mod)
+        return None
+
+    for mod in sorted(edges):
+        cycle = visit(mod)
+        assert not cycle, f"library import cycle: {' -> '.join(cycle)}"
+
+
 def test_import_path_skips_dataclasses():
     # dataclasses pulls in inspect, ast, dis and tokenize: start-up time that
     # every CLI run and every benchmark set-up pays

@@ -635,16 +635,14 @@ def test_chart_correction_computed_once_per_monomial_and_slot(monkeypatch):
 @pytest.mark.parametrize("momentum", [0, rat(2, 3)], ids=["0", "2/3"])
 def test_pairing_series_matches_the_symbolic_root_point_block(momentum):
     # the module works at t = 1 and places each oracle value at the exponent
-    # the grading fixes; the reference keeps t symbolic: slots chart-corrected
-    # at w_k^i t, the block substituted at those points below t^T
-    T = 3
+    # the grading fixes; the reference evaluates the block at root points
+    # w_k^i t off the unit circle, with the slots chart-corrected there
+    # directly, so it does not lean on the covariance the module uses
     Wm = fock(H, momentum)
     WmD = dual_of(Wm)
     states = [m for g in range(0, 3) for m in Wm.basis(g)]
-    t = FracLaurent.variable("t")
     for k in (1, 2, 3, 4):
         tw = TwistedModule(Wm, k)
-        pts = {i: Scalar.root_of_unity(k, i) * t for i in range(k)}
         monos = [
             mono
             for g in range(0, 4)
@@ -652,13 +650,32 @@ def test_pairing_series_matches_the_symbolic_root_point_block(momentum):
             if sum(m != () for m in mono) >= min(2, k)
         ]
         assert monos
-        for mono in monos:
-            u = GradedVector(tw.tensor, {mono: 1})
-            slots = [twist._chart_corrected(k, st(H, m), pts[i]) for i, m in enumerate(mono)]
-            for wm in states:
-                for pm in states:
-                    ref = heisenberg_correlator(slots, st(Wm, wm), st(WmD, pm)).substitute(pts, "t", trunc=T)
-                    assert tw.pairing_series(u, wm, pm).truncate(T) == ref, (k, mono, wm, pm)
+        for t in (rat(1, 2), rat(-3)):
+            pts = {i: Scalar.root_of_unity(k, i) * t for i in range(k)}
+            for mono in monos:
+                u = GradedVector(tw.tensor, {mono: 1})
+                slots = [twist._chart_corrected(k, st(H, m), pts[i]) for i, m in enumerate(mono)]
+                for wm in states:
+                    for pm in states:
+                        ref = heisenberg_correlator(slots, st(Wm, wm), st(WmD, pm)).evaluate(pts)
+                        assert tw.pairing_series(u, wm, pm).evaluate(t) == ref, (k, t, mono, wm, pm)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_chart_correction_is_covariant_in_the_root_point(k):
+    # R(rho_s) = s^{L0} R(rho_1) s^{-k L0}: the chart correction of v at s
+    # is its correction at 1 with each weight-hw part scaled by
+    # s^(hw - k wt v); product_expansion_check relies on it
+    points = (rat(1, 2), rat(-3), Scalar.root_of_unity(3, 1) + rat(1, 2))
+    for g in range(5):
+        for mono in H.basis(g):
+            v = st(H, mono)
+            at_one = twist._chart_corrected(k, v, 1).weight_components()
+            for s in points:
+                expect = GradedVector(H)
+                for hw, part in at_one.items():
+                    expect = expect + part.scale(s ** (hw - k * g))
+                assert twist._chart_corrected(k, v, s) == expect, (k, mono, s)
 
 
 def test_pairing_series_of_multiples_evaluates_the_oracle_once_per_monomial(monkeypatch):

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from support import fock, heis, rat, st, vac
+from support import derivative, fock, heis, rat, st, vac
 from voablocks.blocks import RationalExpr, heisenberg_correlator, propagate_eval, propagate_expand
-from voablocks.scalars import Scalar
+from voablocks.scalars import Scalar, stored
 from voablocks.series import FracLaurent
 from voablocks.voa import (
     CutoffOverflow,
@@ -556,7 +556,7 @@ def test_vector_coefficients_have_one_type(name, u_terms, v_terms, w_terms, c, n
         vectors.append([u, w, u.scale(Scalar.integer(c)), u + v, u - v, mode_action(u, n, w), t, cycle_rotate(t)])
         a, b = _two_series(a_terms, trunc)[build], _two_series(b_terms)[build]
         x = _two_values(*value)[build]
-        found = [a, b, a + b, a - b, a * b, a.scale(x), a.derivative(), a.shift(Fraction(1, 2))]
+        found = [a, b, a + b, a - b, a * b, a.scale(x), derivative(a), a.shift(Fraction(1, 2))]
         if a:
             outer = FracLaurent("z", 1, {e: y for e, y in b.terms.items() if e >= 0})
             found += [a.inverse(order=4), outer.compose(a.shift(1 - a.valuation()), 5)]
@@ -585,12 +585,16 @@ def test_vector_coefficients_have_one_type(name, u_terms, v_terms, w_terms, c, n
         assert frozenset(from_plain.terms.items()) == frozenset(from_scalars.terms.items())
 
 
-def test_truncated_zero_coefficient_is_kept():
-    # O(z^3) is unknown from z^3 on, not zero; only the exact zero is dropped
-    o3 = FracLaurent("z", 1, {}, trunc=3)
-    v = GradedVector(H, {(1,): o3, (2,): FracLaurent("z", 1, {}), (1, 1): 0})
-    assert v.terms == {(1,): o3}
-    assert not v.is_zero()
+def test_series_coefficient_is_refused():
+    # a vector coefficient is an exact number: a series, even a constant,
+    # an exact zero or a truncated zero one, raises like any non-number
+    for c in (FracLaurent("z", 1, {0: 1}), FracLaurent("z"), FracLaurent("z", 1, {}, trunc=3)):
+        with pytest.raises(TypeError):
+            stored(c)
+        with pytest.raises(TypeError):
+            GradedVector(H, {(1,): c})
+        with pytest.raises(TypeError):
+            st(H, (1,)).scale(c)
 
 
 @pytest.mark.parametrize("momentum", [0, Fraction(2, 3)])
