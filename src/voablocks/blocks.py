@@ -219,11 +219,6 @@ def _mpoly_mul(a, b):
 # the free-boson Wick oracle
 
 
-def _site_factors(mono):
-    # a_{-n} descendant factor -> derivative order n-1, normalization 1/(n-1)!
-    return [(n - 1, Fraction(1, math.factorial(n - 1))) for n in mono]
-
-
 def _gram_norm(mono) -> Fraction:
     out = Fraction(1)
     for part in set(mono):
@@ -271,12 +266,18 @@ def heisenberg_correlator(vs, w: GradedVector, wp: GradedVector) -> RationalExpr
 
 
 def _wick_sum(sites, w_mono, wp_mono, lam, nsites) -> RationalExpr:
-    # objects: ("site", i, p, norm), then ("out", nu), then ("in", mu); rec
-    # pairs each object only with a later one
+    # objects: ("site", i, p) for each factor a_{-p-1} of insertion i, then
+    # ("out", nu), then ("in", mu); rec pairs each object only with a later
+    # one.  Each site's normalisation 1/p! is folded into its contractions,
+    # so the table is integral (times lam for a lone site):
+    #   site-site  (-1)^p (p+q+1) C(p+q, p) (z_i - z_j)^-(p+q+2)
+    #   site-out   (p+1) C(nu, p+1) z_i^(nu-1-p)
+    #   site-in    (-1)^p mu C(mu+p, p) z_i^(-mu-1-p)
+    #   lone       (-1)^p lam z_i^(-1-p)
     objs = []
     for i in range(nsites):
-        for p, norm in _site_factors(sites.get(i, ())):
-            objs.append(("site", i, p, norm))
+        for n in sites.get(i, ()):
+            objs.append(("site", i, n - 1))
     for nu in wp_mono:
         objs.append(("out", nu))
     for mu in w_mono:
@@ -285,25 +286,25 @@ def _wick_sum(sites, w_mono, wp_mono, lam, nsites) -> RationalExpr:
     def contract(a, b) -> RationalExpr:
         ka, kb = a[0], b[0]
         if ka == "site" and kb == "site":
-            _, i, p, np_ = a
-            _, j, q, nq = b
+            _, i, p = a
+            _, j, q = b
             if i == j:
                 return RationalExpr()  # no self-contraction inside one insertion
             if i > j:
                 i, p, j, q = j, q, i, p
-            coef = (-1) ** (p % 2) * math.factorial(p + q + 1) * np_ * nq
+            coef = (-1) ** (p % 2) * (p + q + 1) * math.comb(p + q, p)
             return RationalExpr.term(coef, dpows={(i, j): -(p + q + 2)})
         if ka == "site" and kb == "out":
-            _, i, p, norm = a
+            _, i, p = a
             _, nu = b
-            coef = math.perm(nu, p + 1) * norm
+            coef = (p + 1) * math.comb(nu, p + 1)
             if coef == 0:
                 return RationalExpr()
             return RationalExpr.term(coef, zpows={i: nu - 1 - p})
         if ka == "site" and kb == "in":
-            _, i, p, norm = a
+            _, i, p = a
             _, mu = b
-            coef = (-1) ** (p % 2) * math.perm(mu + p, p + 1) * norm
+            coef = (-1) ** (p % 2) * mu * math.comb(mu + p, p)
             return RationalExpr.term(coef, zpows={i: -mu - 1 - p})
         if ka == "out" and kb == "in":
             _, nu = a
@@ -316,8 +317,8 @@ def _wick_sum(sites, w_mono, wp_mono, lam, nsites) -> RationalExpr:
     def lone(a) -> RationalExpr:
         if a[0] != "site" or not lam:
             return RationalExpr()
-        _, i, p, norm = a
-        return RationalExpr.term((-1) ** (p % 2) * math.factorial(p) * norm * lam, zpows={i: -1 - p})
+        _, i, p = a
+        return RationalExpr.term(lam if p % 2 == 0 else -lam, zpows={i: -1 - p})
 
     def rec(remaining) -> RationalExpr:
         if not remaining:

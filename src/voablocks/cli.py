@@ -444,11 +444,15 @@ def _run_twist_modes(cfg: RunConfig):
     u = tensor_vector(tw.tensor, [v] + [vac] * (k - 1))
     grade = cfg.params.get("grade", 3)
     table = []
+    mismatch = None
     for wg in range(0, grade + 1):
         for wm in W.basis(wg):
             for pg in range(0, grade + 1):
                 for pm in W.basis(pg):
                     series = tw.pairing_series(u, wm, pm)
+                    # u has one non-vacuum slot, so the generator path must agree
+                    if mismatch is None and tw.generator_series(v, wm, pm) != series:
+                        mismatch = (wm, pm)
                     for e, c in series.sorted_terms():
                         n = Fraction(-(e + k), k)
                         table.append(
@@ -461,7 +465,12 @@ def _run_twist_modes(cfg: RunConfig):
                         )
     u_terms = [{"monomial": list(m), "coeff": _scalar_json(c, cfg.mode)} for m, c in sorted(v.terms.items())]
     payload = {"k": k, "u": u_terms, "modes": table}
-    return 0, [json.dumps(payload, sort_keys=True)]
+    if mismatch is not None:
+        wm, pm = mismatch
+        sys.stderr.write(
+            f"construction paths disagree: generator_series != pairing_series at in {list(wm)}, out {list(pm)}\n"
+        )
+    return (0 if mismatch is None else 1), [json.dumps(payload, sort_keys=True)]
 
 
 def _run_jacobi_check(cfg: RunConfig):

@@ -21,11 +21,17 @@ algebra reachable through coordinate changes) is ``slot_mode_apply``; the
 generator path's modes and series are its slot-0 sum and the pairings of
 that sum.  The k-point oracle (Heisenberg, any slots) is ``pairing_series``,
 extended bilinearly to vectors w and w' by ``_matrix_series``.  A module
-computes each generator-formula mode on a basis state once.
+computes each exact input of the two paths once and keeps it in a cache it
+owns: the chart change per (slot, order), the chart-corrected slot vector
+per (base monomial, slot), the oracle value per (base-monomial
+combination, w monomial, w' monomial) and per (tensor monomial, w monomial,
+w' monomial), the root point's powers per slot, and each generator-formula
+mode on a basis state.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .blocks import RationalExpr, _apply_field, heisenberg_correlator
@@ -68,13 +74,23 @@ class TwistedModule:
     """The g-twisted V^(x)k-module structure on a Heisenberg Fock module W.
 
     The twisted grading operator is (1/k) of the grading of W, so twisted
-    weights lie in (1/k)N with finite-dimensional eigenspaces.  Three caches
+    weights lie in (1/k)N with finite-dimensional eigenspaces.  Six caches
     fill lazily, each keyed on exact values and holding values at t = 1:
-    ``_oracle_values`` the Wick oracle's value at the root points per
-    (tensor monomial, w monomial, w' monomial), ``_slot_modes`` the
-    generator formula's stored terms per (base monomial, slot, kn, w
-    monomial), ``_corrected`` the chart-corrected slot vector per (base
-    monomial, slot).  A value is stored only once computed in full."""
+
+    * ``_charts``: the k-th-root chart change at the root point w_k^slot,
+      per (slot, order), shared by every base monomial of weight order - 1;
+    * ``_corrected``: the chart-corrected slot vector per (base monomial,
+      slot);
+    * ``_combination_values``: the Wick oracle's value at the root points
+      per (base-monomial combination, one monomial per slot, w monomial,
+      w' monomial);
+    * ``_oracle_values``: the sum of those over a tensor monomial's
+      chart-corrected slots, per (tensor monomial, w monomial, w' monomial);
+    * ``_zpows``: per slot, the stored powers of its root point by exponent;
+    * ``_slot_modes``: the generator formula's stored terms per (base
+      monomial, slot, kn, w monomial).
+
+    A value is stored only once computed in full."""
 
     def __init__(self, module: FockModule, k: int):
         if not isinstance(module.algebra, HeisenbergAlgebra):
@@ -92,8 +108,11 @@ class TwistedModule:
         self.dual = dual_of(module)
         self._points = _root_points(k, 1)
         self._oracle_values = {}
+        self._combination_values = {}
         self._slot_modes = {}
         self._corrected = {}
+        self._charts = {}
+        self._zpows = [{} for _ in range(k)]
 
     # ---- gradings ------------------------------------------------------
 
@@ -108,27 +127,50 @@ class TwistedModule:
 
     def slot_corrected(self, mono, slot: int) -> GradedVector:
         """The base state ``mono`` carried to the root point w_k^slot of its
-        slot at t = 1 (see ``_chart_corrected``), computed once per module."""
+        slot at t = 1 (see ``_chart_corrected``), computed once per module;
+        the chart change itself is solved once per (slot, order)."""
         key = (tuple(mono), slot)
         hit = self._corrected.get(key)
         if hit is None:
             if not 0 <= slot < self.k:
                 raise ValueError(f"slot {slot} is not in range({self.k})")
             base_state = GradedVector.state(self.tensor.base, mono)
-            hit = _chart_corrected(self.k, base_state, self._points[slot])
-            self._corrected[key] = hit
+            order = base_state.max_weight() + 1
+            chart = self._charts.get((slot, order))
+            if chart is None:
+                chart = self._charts[slot, order] = kth_root_shift(self.k, order, self._points[slot])
+            hit = self._corrected[key] = apply_coord_change(chart, base_state)
         return hit
 
     def _oracle_value(self, mono, w_mono, wp_mono):
-        # the k-point block of a tensor monomial between basis states at t = 1
+        # the k-point block of a tensor monomial between basis states at t = 1:
+        # the chart-corrected slots expand into combinations of base
+        # monomials, one per slot, and each combination's block is evaluated
+        # once per module
         key = (mono, w_mono, wp_mono)
         hit = self._oracle_values.get(key)
         if hit is None:
-            slots = [self.slot_corrected(m, i) for i, m in enumerate(mono)]
+            slots = [self.slot_corrected(m, i).terms.items() for i, m in enumerate(mono)]
+            total = 0
+            for combo in itertools.product(*slots):
+                val = self._combination_value(tuple(bm for bm, _ in combo), w_mono, wp_mono)
+                if val:  # most combinations vanish: multiply coefficients only for the rest
+                    for _, c in combo:
+                        val = val * c
+                    total = total + val
+            hit = self._oracle_values[key] = stored(total)
+        return hit
+
+    def _combination_value(self, combo, w_mono, wp_mono):
+        # the block of base monomials ``combo``, slot by slot, at the root points
+        key = (combo, w_mono, wp_mono)
+        hit = self._combination_values.get(key)
+        if hit is None:
+            slots = [GradedVector.state(self.tensor.base, m) for m in combo]
             w = GradedVector.state(self.module, w_mono)
             wp = GradedVector.state(self.dual, wp_mono)
             hit = stored(heisenberg_correlator(slots, w, wp).evaluate(dict(enumerate(self._points))))
-            self._oracle_values[key] = hit
+            self._combination_values[key] = hit
         return hit
 
     def pairing_series(self, u: GradedVector, w_mono, wp_mono) -> FracLaurent:
@@ -137,6 +179,7 @@ class TwistedModule:
         wt w' - wt w - k wt(monomial)."""
         if u.space is not self.tensor:
             raise ValueError("u must be a tensor-power vector")
+        w_mono, wp_mono = tuple(w_mono), tuple(wp_mono)
         if not u.terms:  # no oracle call checks the states
             self.module.check_mono(w_mono)
             self.dual.check_mono(wp_mono)
@@ -195,7 +238,8 @@ class TwistedModule:
             if target > self.module.cutoff:
                 raise CutoffOverflow(target, self.module.cutoff)
             w = GradedVector(self.module, {w_mono: 1})
-            x = _apply_field(self.slot_corrected(v_mono, slot), self._points[slot], w, [target] if target >= 0 else [])
+            grades = [target] if target >= 0 else []
+            x = _apply_field(self.slot_corrected(v_mono, slot), self._points[slot], w, grades, self._zpows[slot])
             hit = self._slot_modes[key] = x.terms
         return hit
 

@@ -150,15 +150,18 @@ def test_permutation_check():
     )
 
 
-def test_expansions_agree_coefficientwise():
-    def complete(key, wts, w0, cap):
-        g = w0
-        for i in range(len(key)):
-            g += wts[i] + key[i]
-            if not (0 <= g <= cap):
-                return False
-        return True
+def _complete(key, wts, w0, cap):
+    # every intermediate grade of the exponent tuple lies in [0, cap], so
+    # propagate_expand has collected the monomial in full
+    g = w0
+    for i in range(len(key)):
+        g += wts[i] + key[i]
+        if not (0 <= g <= cap):
+            return False
+    return True
 
+
+def test_expansions_agree_coefficientwise():
     cases = [
         ([A] * 4, [1] * 4, VW, VP, 12),
         ([st(H, (1, 1)), st(H, (2,))], [2, 2], VW, st(WD, (1,)), 10),
@@ -170,13 +173,40 @@ def test_expansions_agree_coefficientwise():
         prop = propagate_expand(vs, w, wp, shell_cap=cap)
         npairs = 0
         for key, c in prop.items():
-            if complete(key, wts, w.max_weight(), cap):
+            if _complete(key, wts, w.max_weight(), cap):
                 assert key in cham and (cham[key] - c).is_zero()
                 npairs += 1
         for key, c in cham.items():
-            if complete(key, wts, w.max_weight(), cap) and all(abs(x) < 8 for x in key):
+            if _complete(key, wts, w.max_weight(), cap) and all(abs(x) < 8 for x in key):
                 assert key in prop or c.is_zero()
         assert npairs > 5
+
+
+@pytest.mark.parametrize("momentum", [0, rat(2, 3)], ids=["0", "2/3"])
+@pytest.mark.parametrize("parts", [((3,), (3,)), ((4,), (3,)), ((3,), (2, 1))], ids=["a3a3", "a4a3", "a3a2a1"])
+def test_deep_descendant_contractions_agree_coefficientwise(parts, momentum):
+    # descendant sites of depth >= 3 contract with each other and with the
+    # modes of w = a_{-1}|0> and of w'.  When the two sites of a3a3 or a4a3
+    # pair up, a grade-2 w' has out-modes left that the one in-mode cannot
+    # take, so only w' = a_{-1} sees their site-site coefficient
+    Wm = fock(H, momentum)
+    WmD = dual_of(Wm)
+    vs = [st(H, p) for p in parts]
+    wts = [sum(p) for p in parts]
+    w = st(Wm, (1,))
+    cap = 10
+    npairs = 0
+    for wp in (st(WmD, (1,)), st(WmD, (2,)) + st(WmD, (1, 1), rat(-3, 2))):
+        cham = heisenberg_correlator(vs, w, wp).expand_chamber([0, 1], max_m=cap + 6)
+        prop = propagate_expand(vs, w, wp, shell_cap=cap)
+        for key, c in prop.items():
+            if _complete(key, wts, 1, cap):
+                assert key in cham and (cham[key] - c).is_zero(), (key, wp)
+                npairs += 1
+        for key, c in cham.items():
+            if _complete(key, wts, 1, cap) and all(abs(x) < 8 for x in key):
+                assert key in prop or c.is_zero(), (key, wp)
+    assert npairs > 5
 
 
 # The last insertion of propagate_eval and propagate_expand computes only the

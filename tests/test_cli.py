@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from voablocks import twist
 from voablocks.cli import RunConfig, main
 from voablocks.scalars import Scalar
+from voablocks.series import FracLaurent
 
 
 def _read(path):
@@ -123,6 +125,30 @@ def test_twist_modes_json(tmp_path):
     for entry in payload["modes"]:
         num, den = entry["n"]
         assert den in (1, 2)
+
+
+def test_twist_modes_exits_1_when_the_construction_paths_disagree(monkeypatch, capsys):
+    # u = a (x) 1 has one non-vacuum slot, so every printed pairing series
+    # is checked against the generator path; a perturbed coefficient of one
+    # (in, out) pair fails the run without changing what it prints
+    argv = ["twist-modes", "--k", "2", "--grade", "1"]
+    assert main(argv) == 0
+    agreed = capsys.readouterr()
+    assert agreed.err == ""
+    original = twist.TwistedModule.generator_series
+
+    def perturbed(self, v, w_mono, wp_mono):
+        series = original(self, v, w_mono, wp_mono)
+        if (tuple(w_mono), tuple(wp_mono)) == ((1,), ()):
+            e, _ = series.sorted_terms()[0]
+            series = series + FracLaurent.monomial(twist.TVAR, e, 1)
+        return series
+
+    monkeypatch.setattr(twist.TwistedModule, "generator_series", perturbed)
+    assert main(argv) == 1
+    failed = capsys.readouterr()
+    assert failed.out == agreed.out
+    assert failed.err == "construction paths disagree: generator_series != pairing_series at in [1], out []\n"
 
 
 def test_twist_check_small(tmp_path):

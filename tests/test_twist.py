@@ -152,20 +152,21 @@ def test_slot_modes_match_the_oracle_at_every_slot(momentum):
 
 def test_slot_outside_the_twist_order_is_refused():
     # at k = 2 slot 2 used to alias slot 0 and slot -1 slot 1, each cached
-    # under a key of its own; a refused slot adds nothing to either cache,
-    # of a fresh module or of one whose caches hold the valid slots
+    # under a key of its own; a refused slot adds nothing to the chart or
+    # slot-mode caches, of a fresh module or of one whose caches hold the
+    # valid slots
     fresh, warm = TwistedModule(W, 2), TwistedModule(W, 2)
     for slot in range(2):
         warm.slot_mode_apply((1,), slot, Fraction(1, 2), st(W, (1,)))
     for tw in (fresh, warm):
-        before = (dict(tw._corrected), dict(tw._slot_modes))
+        before = (dict(tw._corrected), dict(tw._charts), dict(tw._slot_modes))
         for slot in (2, -1, 5):
             with pytest.raises(ValueError, match="slot"):
                 tw.slot_corrected((1,), slot)
             with pytest.raises(ValueError, match="slot"):
                 tw.slot_mode_apply((1,), slot, Fraction(1, 2), st(W, (1,)))
-        assert (tw._corrected, tw._slot_modes) == before
-    assert not fresh._corrected and not fresh._slot_modes
+        assert (tw._corrected, tw._charts, tw._slot_modes) == before
+    assert not fresh._corrected and not fresh._charts and not fresh._slot_modes
     assert warm._slot_modes
 
 
@@ -607,7 +608,9 @@ def test_series_caches_are_transparent(draws, rng):
         assert series == _series_query(TwistedModule(_SERIES_MODULE, k), *query), (k, query)
 
 
-def test_chart_correction_computed_once_per_monomial_and_slot(monkeypatch):
+def test_chart_change_solved_once_per_slot_and_order(monkeypatch):
+    # the k-th-root chart change at a slot's root point depends on the
+    # monomial only through its order wt + 1, so monomials share it
     calls = []
     original = twist.kth_root_shift
 
@@ -624,12 +627,13 @@ def test_chart_correction_computed_once_per_monomial_and_slot(monkeypatch):
             factors = [VAC] * k
             factors[slot] = st(H, vm)
             vecs.append(tensor_vector(tw.tensor, factors))
-    pairs = {(m, i) for u in vecs for mono in u.terms for i, m in enumerate(mono)}
+    charts = {(i, sum(m) + 1) for u in vecs for mono in u.terms for i, m in enumerate(mono)}
+    expected = {(k, order, tw._points[i]) for i, order in charts}
     # the second sweep uses other states, so the series cache misses
     for wm, pm in (((), ()), ((1,), (2, 1))):
         for u in vecs:
             tw.pairing_series(u, wm, pm)
-        assert len(calls) == len(pairs)
+        assert len(calls) == len(charts) and set(calls) == expected
 
 
 @pytest.mark.parametrize("momentum", [0, rat(2, 3)], ids=["0", "2/3"])
@@ -678,7 +682,10 @@ def test_chart_correction_is_covariant_in_the_root_point(k):
                 assert twist._chart_corrected(k, v, s) == expect, (k, mono, s)
 
 
-def test_pairing_series_of_multiples_evaluates_the_oracle_once_per_monomial(monkeypatch):
+def test_pairing_series_of_multiples_evaluates_the_oracle_once_per_base_combination(monkeypatch):
+    # u = a (x) a - 1/2 1 (x) a_{-2}: chart-corrected, a stays a multiple of a
+    # while a_{-2} picks up an a_{-1} part, so the oracle sees the three
+    # base-monomial combinations (a, a), (1, a_{-2}) and (1, a_{-1}), each once
     calls = []
     original = twist.heisenberg_correlator
 
@@ -692,7 +699,28 @@ def test_pairing_series_of_multiples_evaluates_the_oracle_once_per_monomial(monk
         u = tensor_vector(tw.tensor, [A, A] + [VAC] * (k - 2)) + tensor_vector(
             tw.tensor, [VAC, st(H, (2,))] + [VAC] * (k - 2)
         ).scale(rat(-1, 2))
+        combos = {
+            combo
+            for mono in u.terms
+            for combo in itertools.product(*(tw.slot_corrected(m, i).terms for i, m in enumerate(mono)))
+        }
         calls.clear()
         for c in (1, -1, -2, 2, 3):
             tw.pairing_series(u.scale(Scalar.integer(c)), (1,), (2,))
-        assert len(calls) == len(u.terms) == 2, (k, len(calls))
+        assert len(calls) == len(combos) == 3, (k, len(calls))
+        called = {tuple(next(iter(v.terms)) for v in slots) for slots, _, _ in calls}
+        assert called == combos
+
+
+def test_pairing_series_reads_list_monomials_as_tuples():
+    # as generator_series does; a non-basis monomial is still refused
+    tw = TwistedModule(_SERIES_MODULE, 2)
+    u = tensor_vector(tw.tensor, [A, st(H, (2,))])
+    assert tw.pairing_series(u, [1], [2]) == tw.pairing_series(u, (1,), (2,))
+    assert tw.pairing_series(u, [1], [2]) == tw.pairing_series(u, (1,), [2])
+    assert not tw.pairing_series(u, [1], [2]).is_zero()
+    v = st(H, (2,))
+    assert tw.generator_series(v, [1], [2]) == tw.generator_series(v, (1,), (2,))
+    for w_mono, wp_mono in (([1, 2], [2]), ([1], [0]), ((1,), (1, 2))):
+        with pytest.raises(ValueError):
+            tw.pairing_series(u, w_mono, wp_mono)

@@ -9,7 +9,8 @@ that ``BENCHMARK.json`` fixes, and keeps the JSON line it
 prints; the file gets the median and quartiles of every end-to-end metric
 per workload.  It then times whole-process CLI runs at the pinned configs of
 ``CLI_RUNS`` (``jacobi-check --grade 4`` at one and at two threads, ``sew``
-at grade cutoff 40 and sewing order 32, ``twist-check --k 5``), wall-clock and the
+at grade cutoff 40 and sewing order 32, ``twist-check --k 5``, the default
+``twist-check`` at k = 2 and 3, ``twist-modes --k 3 --grade 3``), wall-clock and the
 CPU time of the process and its children, and records the host: usable
 CPUs and the Python version.  Runs go one at a time, so they do not compete
 for cores.
@@ -33,6 +34,8 @@ CLI_RUNS = (
     ("jacobi-check --grade 4 --threads 2", ["jacobi-check", "--grade", "4", "--threads", "2"]),
     ("sew --cutoff-grade 40 --cutoff-q 32", ["sew", "--cutoff-grade", "40", "--cutoff-q", "32"]),
     ("twist-check --k 5", ["twist-check", "--k", "5"]),
+    ("twist-check", ["twist-check"]),
+    ("twist-modes --k 3 --grade 3", ["twist-modes", "--k", "3", "--grade", "3"]),
 )
 
 
