@@ -135,18 +135,16 @@ class RationalExpr:
         """Substitute a FracLaurent (or scalar, treated as constant) for each
         point and return the resulting series in ``var``.
 
-        Every term is expanded until it is known below x^trunc, counting from
-        its lowest exponent, and the sum is truncated there; a truncated point
-        still caps the result's truncation below ``trunc``.
+        Every term is expanded until it is known below x^trunc (an ``int``,
+        like every exponent), counting from its lowest exponent, and the sum
+        is truncated there; a truncated point still caps the result's
+        truncation below ``trunc``.
         """
 
-        pts = {i: p if isinstance(p, FracLaurent) else FracLaurent(var, 1, {0: p}) for i, p in points.items()}
-        lat = 1
-        for p in pts.values():
-            lat = lat * p.k // math.gcd(lat, p.k)
-        total = FracLaurent.zero(var, lat, trunc)
+        pts = {i: p if isinstance(p, FracLaurent) else FracLaurent(var, {0: p}) for i, p in points.items()}
+        total = FracLaurent.zero(var, trunc)
         for (zp, dp), c in self.terms.items():
-            val = FracLaurent(var, 1, {0: c})
+            val = FracLaurent(var, {0: c})
             factors = [(pts[i], e) for i, e in zp] + [(pts[i] - pts[j], e) for (i, j), e in dp]
             low = 0
             for f, e in factors:
@@ -582,7 +580,7 @@ def residue_criterion(points, series_data, pole_bound: int, dual_pole_bound: int
                 s = series_data[j][u]
                 if s.is_zero():
                     continue
-                f = FracLaurent.zero("z", 1)
+                f = FracLaurent.zero("z")
                 for atom, coef in form:
                     f = f + _form_atom_expansion(atom, x, pole_bound + dual_pole_bound).scale(coef)
                 total = total + (s.rename("z") * f).stored_coeff(-1)
@@ -606,7 +604,7 @@ class GlobalSection:
         x = self.points[j]
         out = []
         for comp in self.coeffs:
-            total = FracLaurent.zero("z", 1, trunc=order)
+            total = FracLaurent.zero("z", trunc=order)
             for atom, c in zip(self.atoms, comp):
                 if c:
                     total = total + _section_atom_expansion(atom, x, order).scale(c)
@@ -640,18 +638,18 @@ def _section_atom_expansion(atom, point, order) -> FracLaurent:
             _, x, m = atom
             base = point - x
             if not base:
-                return FracLaurent("z", 1, {-m: 1})
+                return FracLaurent("z", {-m: 1})
             terms = {t: binomial(-m, t) * exact_pow(base, -m - t) for t in range(order + m + 1)}
-            return FracLaurent("z", 1, terms, order + m + 1)
+            return FracLaurent("z", terms, order + m + 1)
         _, p = atom
-        return FracLaurent("z", 1, {t: binomial(p, t) * point ** (p - t) for t in range(p + 1)})
+        return FracLaurent("z", {t: binomial(p, t) * point ** (p - t) for t in range(p + 1)})
     if kind == "pole":
         _, x, m = atom
         # (1/z - x)^(-m) = z^m (1 - x z)^(-m)
         terms = {m + t: binomial(-m, t) * (-x) ** t for t in range(order + 3)}
-        return FracLaurent("z", 1, terms, order + m + 1)
+        return FracLaurent("z", terms, order + m + 1)
     _, p = atom
-    return FracLaurent("z", 1, {-p: 1})
+    return FracLaurent("z", {-p: 1})
 
 
 def section_atom_basis(points, pole_bound: int):
@@ -682,12 +680,10 @@ def reconstruct_global(points, series_data, pole_bound: int):
             hi = s.trunc
             if hi is None:
                 hi = (s.degree() if s.degree() is not None else 0) + pole_bound + 2
-            cols = [_section_atom_expansion(atom, x, int(hi) + 1) for atom in atoms]
-            e = Fraction(-pole_bound)
-            while e < hi:
+            cols = [_section_atom_expansion(atom, x, hi + 1) for atom in atoms]
+            for e in range(-pole_bound, hi):
                 rows.append([col.terms.get(e, 0) for col in cols])
                 rhs.append(s.terms.get(e, 0))
-                e += 1
         sol = linalg.solve(rows, rhs, len(atoms))
         if sol is None:
             return None

@@ -25,7 +25,7 @@ from .blocks import (
     reconstruct_global,
     residue_criterion,
 )
-from .coordchange import solve_coefficients
+from .coordchange import solve_coefficients, taylor_coefficients
 from .scalars import MAX_CYCLOTOMIC_ORDER, Scalar, ScalarError
 from .series import FracLaurent
 from .sewing import sew, sew_propagate_commute_check
@@ -35,6 +35,7 @@ from .voa import (
     FockModule,
     GradedVector,
     HeisenbergAlgebra,
+    _acc,
     dual_of,
     dual_pairing,
     jacobi_sweep,
@@ -59,6 +60,19 @@ def _parse_rational(value, path):
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(path, str(exc))
     raise ConfigError(path, f"expected a rational, got {value!r}")
+
+
+def _parse_integer(value, path):
+    n = _parse_rational(value, path)
+    if n.denominator != 1:
+        raise ConfigError(path, f"expected an integer, got {n}")
+    return n.numerator
+
+
+def _known_fields(obj, allowed, path=None):
+    for key in obj:
+        if key not in allowed:
+            raise ConfigError(key if path is None else f"{path}.{key}", "unknown field")
 
 
 def _json_list(value, path):
@@ -116,17 +130,12 @@ class RunConfig:
             raise ConfigError("config", "must be a JSON object")
         if "subcommand" not in obj:
             raise ConfigError("subcommand", "missing")
-        known = {"subcommand", "algebra", "cutoffs", "points", "mode", "threads", "out", "params"}
-        for key in obj:
-            if key not in known:
-                raise ConfigError(key, "unknown field")
+        _known_fields(obj, {"subcommand", "algebra", "cutoffs", "points", "mode", "threads", "out", "params"})
         for key in ("algebra", "cutoffs", "params"):
             if not isinstance(obj.get(key, {}), dict):
                 raise ConfigError(key, "must be a JSON object")
-        for key, allowed in (("algebra", {"kind", "momentum"}), ("cutoffs", {"L", "N"})):
-            for name in obj.get(key, {}):
-                if name not in allowed:
-                    raise ConfigError(f"{key}.{name}", "unknown field")
+        _known_fields(obj.get("algebra", {}), {"kind", "momentum"}, "algebra")
+        _known_fields(obj.get("cutoffs", {}), {"L", "N"}, "cutoffs")
         cfg = RunConfig(subcommand=obj["subcommand"])
         cfg.algebra = obj.get("algebra", cfg.algebra)
         cfg.cutoffs = {**cfg.cutoffs, **obj.get("cutoffs", {})}
@@ -162,6 +171,7 @@ def _vector_from_json(space, data, path):
     for i, entry in enumerate(_json_list(data, path)):
         if not isinstance(entry, dict):
             raise ConfigError(f"{path}[{i}]", "must be a JSON object")
+        _known_fields(entry, {"monomial", "coeff"}, f"{path}[{i}]")
         if "monomial" not in entry:
             raise ConfigError(f"{path}[{i}].monomial", "missing")
         mono = entry["monomial"]
@@ -196,6 +206,12 @@ def _run_uc_solve(cfg: RunConfig):
     lines = [f"c0\t{_fmt(rho.c0, cfg.mode)}"]
     for n in range(1, len(values)):
         lines.append(f"c{n}\t{_fmt(rho.coefficient(n), cfg.mode)}")
+    # the second path: the solved coordinate change must give its data back
+    back = taylor_coefficients(rho, len(values))
+    bad = next((i for i, (a, b) in enumerate(zip(back, values)) if a != b), None)
+    if bad is not None:
+        sys.stderr.write(f"round trip disagrees: the solved coefficients do not give back params.taylor[{bad}]\n")
+        return 1, lines
     return 0, lines
 
 
@@ -242,24 +258,22 @@ def _run_propagate(cfg: RunConfig):
 def _series_from_json(obj, path):
     if not isinstance(obj, dict):
         raise ConfigError(path, "must be a JSON object")
-    k = obj.get("k", 1)
-    if type(k) is not int or k < 1:
-        raise ConfigError(f"{path}.k", "must be a positive integer")
+    _known_fields(obj, {"terms", "trunc"}, path)
     terms = {}
     for i, item in enumerate(_json_list(obj.get("terms", []), f"{path}.terms")):
         if not isinstance(item, list) or len(item) != 3:
             raise ConfigError(f"{path}.terms[{i}]", "must be [num, den, coeff]")
-        e = _parse_rational(item[:2], f"{path}.terms[{i}]")
-        terms[e] = _parse_rational(item[2], f"{path}.terms[{i}]")
+        e = _parse_integer(item[:2], f"{path}.terms[{i}]")
+        _acc(terms, e, _parse_rational(item[2], f"{path}.terms[{i}]"))  # repeated exponents add up
     trunc = obj.get("trunc")
-    return FracLaurent("z", k, terms, None if trunc is None else _parse_rational(trunc, f"{path}.trunc"))
+    return FracLaurent("z", terms, None if trunc is None else _parse_integer(trunc, f"{path}.trunc"))
 
 
 def _residue_fixtures():
-    one = FracLaurent("z", 1, {0: 1}, trunc=8)
-    onez = FracLaurent("z", 1, {0: 1, 1: 1}, trunc=8)
-    s0 = FracLaurent("z", 1, {-1: 1}, trunc=8)
-    sinf = FracLaurent("z", 1, {1: 1}, trunc=8)
+    one = FracLaurent("z", {0: 1}, trunc=8)
+    onez = FracLaurent("z", {0: 1, 1: 1}, trunc=8)
+    s0 = FracLaurent("z", {-1: 1}, trunc=8)
+    sinf = FracLaurent("z", {1: 1}, trunc=8)
     return [
         ("constant", [0, INF], [[one], [one]], True),
         ("perturbed-fail", [0, INF], [[one], [onez]], False),
@@ -305,7 +319,7 @@ def _run_residue_check(cfg: RunConfig):
                     sec.expand_at(j, order)[u] == s.truncate(order)
                     for j, comps in enumerate(data)
                     for u, s in enumerate(comps)
-                    for order in [6 if s.trunc is None else int(s.trunc)]
+                    for order in [6 if s.trunc is None else s.trunc]
                 )
                 if not round_trip:
                     verdict = "FAIL"

@@ -111,7 +111,7 @@ def solve_coefficients(taylor) -> CoordChange:
 def _taylor_series(rho: CoordChange, order: int) -> FracLaurent:
     """rho(z) as a power series in z, truncated above z^order."""
     t = taylor_coefficients(rho, order)
-    return FracLaurent("z", 1, {Fraction(m): a for m, a in enumerate(t, start=1)}, trunc=order + 1)
+    return FracLaurent("z", dict(enumerate(t, start=1)), trunc=order + 1)
 
 
 def _from_series(f: FracLaurent, order: int) -> CoordChange:
@@ -143,12 +143,12 @@ def chart_transition(eta: FracLaurent, mu: FracLaurent, p, order: int) -> CoordC
         # f(p + t) - f(p) as a series in t
         shifted = {}
         for e, c in f.terms.items():
-            if e.denominator != 1 or e < 0:
+            if e < 0:
                 raise ValueError("chart functions must be polynomials")
-            for m in range(1, int(e) + 1):
-                term = c * binomial(e, m) * p ** (int(e) - m)
-                shifted[Fraction(m)] = shifted.get(Fraction(m), 0) + term
-        return FracLaurent("t", 1, shifted)
+            for m in range(1, e + 1):
+                term = c * binomial(e, m) * p ** (e - m)
+                shifted[m] = shifted.get(m, 0) + term
+        return FracLaurent("t", shifted)
 
     te = local(eta).truncate(order + 1)
     tm = local(mu).truncate(order + 1)

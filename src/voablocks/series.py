@@ -1,13 +1,16 @@
-"""Formal Laurent series with exponents on a fractional lattice (1/k)Z.
+"""Formal Laurent series in one variable with integer exponents.
 
 A FracLaurent stores finitely many terms ``exponent -> coefficient``: every
-exponent is an exact rational whose denominator divides the lattice constant
-``k``, every coefficient a value in the form ``scalars.stored`` gives (an
-``int``, ``Fraction`` or cyclotomic Scalar); ``coeff``, ``residue`` and
-``evaluate`` hand out Scalars.  An optional truncation order marks the first
+exponent is an ``int``, every coefficient a value in the form
+``scalars.stored`` gives (an ``int``, ``Fraction`` or cyclotomic Scalar);
+``coeff``, ``residue`` and ``evaluate`` hand out Scalars.  Fractional powers
+z^(n/k) are written as integer powers of the k-th root variable t = z^(1/k)
+by their callers.  An optional truncation order, an ``int``, marks the first
 unknown exponent: terms at exponents >= trunc are not stored and must not be
 asked for.  Operations propagate the tightest truncation they can justify and
-raise TruncationError rather than silently zero-filling.
+raise TruncationError rather than silently zero-filling.  An exponent or
+truncation order of any other type (a ``Fraction``, a float, a bool) raises
+TypeError.
 """
 
 from __future__ import annotations
@@ -21,12 +24,6 @@ class TruncationError(ArithmeticError):
     pass
 
 
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
-
-
 def _lower_bound(s):
     # Lowest exponent s may hold: its valuation, or for a truncated zero its
     # trunc, where its unknown terms start; None for the exact zero.
@@ -34,20 +31,18 @@ def _lower_bound(s):
 
 
 class FracLaurent:
-    __slots__ = ("var", "k", "terms", "trunc")
+    __slots__ = ("var", "terms", "trunc")
 
-    def __init__(self, var: str, k: int = 1, terms=None, trunc=None):
-        if k < 1:
-            raise ValueError("lattice denominator must be positive")
+    def __init__(self, var: str, terms=None, trunc=None):
+        if trunc is not None and type(trunc) is not int:
+            raise TypeError(f"truncation order must be an int, not {trunc!r}")
         self.var = var
-        self.k = k
-        self.trunc = Fraction(trunc) if trunc is not None else None
+        self.trunc = trunc
         clean = {}
         for e, c in (terms or {}).items():
-            e = Fraction(e)
-            if e.denominator != 1 and k % e.denominator != 0:
-                raise ValueError(f"exponent {e} not on the (1/{k})Z lattice")
-            if self.trunc is not None and e >= self.trunc:
+            if type(e) is not int:
+                raise TypeError(f"exponent must be an int, not {e!r}")
+            if trunc is not None and e >= trunc:
                 continue
             c = stored(c)
             if c:
@@ -57,19 +52,16 @@ class FracLaurent:
     # ---- constructors --------------------------------------------------
 
     @staticmethod
-    def zero(var: str, k: int = 1, trunc=None) -> "FracLaurent":
-        return FracLaurent(var, k, {}, trunc)
+    def zero(var: str, trunc=None) -> "FracLaurent":
+        return FracLaurent(var, {}, trunc)
 
     @staticmethod
-    def one(var: str, k: int = 1) -> "FracLaurent":
-        return FracLaurent(var, k, {Fraction(0): 1})
+    def one(var: str) -> "FracLaurent":
+        return FracLaurent(var, {0: 1})
 
     @staticmethod
-    def monomial(var: str, exp, coef=1, k: int = None) -> "FracLaurent":
-        exp = Fraction(exp)
-        if k is None:
-            k = exp.denominator
-        return FracLaurent(var, k, {exp: coef})
+    def monomial(var: str, exp: int, coef=1) -> "FracLaurent":
+        return FracLaurent(var, {exp: coef})
 
     # ---- basic queries ---------------------------------------------------
 
@@ -91,7 +83,6 @@ class FracLaurent:
 
     def stored_coeff(self, exp):
         """The coefficient at x^exp as stored (0 where none is)."""
-        exp = Fraction(exp)
         if self.trunc is not None and exp >= self.trunc:
             raise TruncationError(
                 f"coefficient at {self.var}^{exp} is beyond truncation order {self.trunc}"
@@ -123,12 +114,9 @@ class FracLaurent:
         if self.var != other.var:
             raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
 
-    def _join(self, other):
-        return _lcm(self.k, other.k)
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
-            other = FracLaurent(self.var, 1, {Fraction(0): other})
+            other = FracLaurent(self.var, {0: other})
         if not isinstance(other, FracLaurent):
             return NotImplemented
         self._check_var(other)
@@ -138,12 +126,12 @@ class FracLaurent:
         terms = dict(self.terms)
         for e, c in other.terms.items():
             terms[e] = terms[e] + c if e in terms else c
-        return FracLaurent(self.var, self._join(other), terms, trunc)
+        return FracLaurent(self.var, terms, trunc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FracLaurent(self.var, self.k, {e: -c for e, c in self.terms.items()}, self.trunc)
+        return FracLaurent(self.var, {e: -c for e, c in self.terms.items()}, self.trunc)
 
     def __sub__(self, other):
         if not isinstance(other, (int, Fraction, Scalar, FracLaurent)):
@@ -156,8 +144,8 @@ class FracLaurent:
     def scale(self, c) -> "FracLaurent":
         c = stored(c)
         if not c:
-            return FracLaurent(self.var, self.k, {}, self.trunc)
-        return FracLaurent(self.var, self.k, {e: x * c for e, x in self.terms.items()}, self.trunc)
+            return FracLaurent(self.var, {}, self.trunc)
+        return FracLaurent(self.var, {e: x * c for e, x in self.terms.items()}, self.trunc)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -178,7 +166,7 @@ class FracLaurent:
                     continue
                 prod = c1 * c2
                 terms[e] = terms[e] + prod if e in terms else prod
-        return FracLaurent(self.var, self._join(other), terms, trunc)
+        return FracLaurent(self.var, terms, trunc)
 
     __rmul__ = __mul__
 
@@ -187,7 +175,7 @@ class FracLaurent:
             raise TypeError("series powers must be integers")
         if n < 0:
             return self.inverse() ** (-n)
-        result = FracLaurent.one(self.var, self.k)
+        result = FracLaurent.one(self.var)
         base = self
         while n:
             if n & 1:
@@ -208,7 +196,7 @@ class FracLaurent:
         if v is None:
             raise ZeroDivisionError("inverting the zero series")
         linv = reciprocal(self.terms[v])
-        lead = FracLaurent(self.var, self.k, {-v: linv})
+        lead = FracLaurent(self.var, {-v: linv})
         if self.trunc is None:
             if len(self.terms) == 1:
                 return lead
@@ -219,32 +207,28 @@ class FracLaurent:
         # self = (1 + u) / lead
         u = FracLaurent(
             self.var,
-            self.k,
             {e - v: c * linv for e, c in self.terms.items() if e != v},
             None if self.trunc is None else self.trunc - v,
         )
         return binomial_expand(lead, u, -1, order)
 
-    def truncate(self, order) -> "FracLaurent":
-        order = Fraction(order)
+    def truncate(self, order: int) -> "FracLaurent":
         trunc = order if self.trunc is None else min(self.trunc, order)
-        return FracLaurent(self.var, self.k, {e: c for e, c in self.terms.items() if e < trunc}, trunc)
+        return FracLaurent(self.var, {e: c for e, c in self.terms.items() if e < trunc}, trunc)
 
     def drop_truncation(self) -> "FracLaurent":
         """Assert exactness: reinterpret a truncated value as exact."""
-        return FracLaurent(self.var, self.k, dict(self.terms), None)
+        return FracLaurent(self.var, dict(self.terms), None)
 
-    def shift(self, exp) -> "FracLaurent":
-        exp = Fraction(exp)
+    def shift(self, exp: int) -> "FracLaurent":
         return FracLaurent(
             self.var,
-            _lcm(self.k, exp.denominator),
             {e + exp: c for e, c in self.terms.items()},
             None if self.trunc is None else self.trunc + exp,
         )
 
     def rename(self, var: str) -> "FracLaurent":
-        return FracLaurent(var, self.k, dict(self.terms), self.trunc)
+        return FracLaurent(var, dict(self.terms), self.trunc)
 
     # ---- calculus-flavored operations -------------------------------------
 
@@ -252,15 +236,14 @@ class FracLaurent:
         """Coefficient of x^-1, the residue of self dx."""
         if self.trunc is not None and self.trunc <= -1:
             raise TruncationError("residue lies beyond the truncation order")
-        return Scalar._coerce(self.terms.get(Fraction(-1), 0))
+        return Scalar._coerce(self.terms.get(-1, 0))
 
     def compose(self, inner: "FracLaurent", order) -> "FracLaurent":
         """self(inner), truncated at the given order.
 
-        Requires inner to vanish at 0 (valuation >= lattice step > 0) and self
-        to be a power series (no negative exponents).
+        Requires inner to vanish at 0 (valuation > 0) and self to be a power
+        series (no negative exponents).
         """
-        order = Fraction(order)
         iv = inner.valuation()
         if inner.terms and iv <= 0:
             raise ValueError("inner series must have positive valuation")
@@ -270,19 +253,17 @@ class FracLaurent:
             order = min(order, self.trunc * iv)
         if inner.trunc is not None:
             order = min(order, inner.trunc)
-        out = FracLaurent.zero(inner.var, inner.k)
-        power = FracLaurent.one(inner.var, inner.k)
-        prev = Fraction(0)
+        out = FracLaurent.zero(inner.var)
+        power = FracLaurent.one(inner.var)
+        prev = 0
         for e, c in self.sorted_terms():
-            if e.denominator != 1:
-                raise ValueError("outer series must live on the integer lattice")
             if inner.is_zero():
                 if e == 0:
-                    out = out + FracLaurent(inner.var, inner.k, {Fraction(0): c})
+                    out = out + FracLaurent(inner.var, {0: c})
                 continue
             if e * iv >= order:
                 break
-            for _ in range(int(e - prev)):
+            for _ in range(e - prev):
                 power = (power * inner).truncate(order)
             prev = e
             out = out + power.scale(c)
@@ -296,11 +277,11 @@ class FracLaurent:
         if self.terms and self.valuation() < 1:
             raise ValueError("compositional inverse needs valuation 1")
         a1_inv = reciprocal(a1)
-        g = FracLaurent(self.var, self.k, {Fraction(1): a1_inv})
+        g = FracLaurent(self.var, {1: a1_inv})
         for m in range(2, order + 1):
             err = self.compose(g, m + 1).stored_coeff(m)
             if err:
-                g = g + FracLaurent(self.var, self.k, {Fraction(m): -(err * a1_inv)})
+                g = g + FracLaurent(self.var, {m: -(err * a1_inv)})
         return g
 
     # ---- evaluation and expansion helpers ---------------------------------
@@ -312,30 +293,8 @@ class FracLaurent:
         x = stored(x)
         total = 0
         for e, c in self.terms.items():
-            if e.denominator != 1:
-                raise ValueError("cannot evaluate fractional exponents without a branch")
-            total = total + c * exact_pow(x, int(e))
+            total = total + c * exact_pow(x, e)
         return Scalar._coerce(total)
-
-    def to_json(self):
-        return {
-            "var": self.var,
-            "k": self.k,
-            "terms": [
-                [e.numerator, e.denominator, Scalar._coerce(c).to_json()] for e, c in self.sorted_terms()
-            ],
-            "trunc": None
-            if self.trunc is None
-            else [self.trunc.numerator, self.trunc.denominator],
-        }
-
-    @staticmethod
-    def from_json(obj) -> "FracLaurent":
-        terms = {Fraction(p, q): Scalar.from_json(c) for p, q, c in obj["terms"]}
-        trunc = obj.get("trunc")
-        return FracLaurent(
-            obj["var"], obj["k"], terms, None if trunc is None else Fraction(*trunc)
-        )
 
 
 def binomial_expand(lead_pow, rel: FracLaurent, r: Fraction, order) -> "FracLaurent":
@@ -349,7 +308,7 @@ def binomial_expand(lead_pow, rel: FracLaurent, r: Fraction, order) -> "FracLaur
     step = rel.valuation()
     # C(r, m) for every m with m * step < order, the only terms compose reads
     n = max(-(-order // step), 1) if step else 1
-    series = FracLaurent(rel.var, 1, {m: binomial(r, m) for m in range(n)}, n)
+    series = FracLaurent(rel.var, {m: binomial(r, m) for m in range(n)}, n)
     out = series.compose(rel, order)
     if isinstance(lead_pow, FracLaurent):
         if lead_pow.var != rel.var:

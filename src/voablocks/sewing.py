@@ -19,8 +19,6 @@ sides are compared coefficient-by-coefficient in q.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .blocks import _apply_field, heisenberg_correlator, propagate_eval, radial_points
 from .series import FracLaurent
 from .voa import CutoffOverflow, GradedVector, dual_of
@@ -44,7 +42,7 @@ def sew(block_fn, module, q_cutoff: int) -> FracLaurent:
     terms = {}
     for g in range(q_cutoff + 1):
         terms[g] = sum(block_fn(m, md) for m, md in casimir_shells(module, g))
-    return FracLaurent("q", 1, terms, trunc=q_cutoff + 1)
+    return FracLaurent("q", terms, trunc=q_cutoff + 1)
 
 
 def converge_diag(series: FracLaurent, q0) -> dict:
@@ -112,7 +110,7 @@ def sew_propagate_commute_check(
             raise CutoffOverflow(needed, grade_cutoff)
         if g in comps:
             terms[g] = propagate_eval(vs_b, zb, comps[g], wp, grade_cutoff).value
-    lhs = FracLaurent("q", 1, terms, trunc=q_cutoff + 1)
+    lhs = FracLaurent("q", terms, trunc=q_cutoff + 1)
     rhs = _sewn_block_expansion(vs_a, za, vs_b, zb, w, wp, q_cutoff)
 
     max_disc = 0.0
@@ -135,8 +133,8 @@ def _sewn_block_expansion(vs_a, za, vs_b, zb, w, wp, q_cutoff):
     for i, z in enumerate(za):
         points[i] = FracLaurent.monomial("q", 1, z)
     for j, z in enumerate(zb):
-        points[len(za) + j] = FracLaurent("q", 1, {Fraction(0): z})
-    out = FracLaurent.zero("q", 1, trunc=q_cutoff + 1)
+        points[len(za) + j] = FracLaurent("q", {0: z})
+    out = FracLaurent.zero("q", trunc=q_cutoff + 1)
     for h, w_part in w.weight_components().items():
         expr_h = heisenberg_correlator(list(vs_a) + list(vs_b), w_part, wp)
         series = expr_h.substitute(points, "q", trunc=q_cutoff + 1 - h - shift_ins)

@@ -189,7 +189,7 @@ class TwistedModule:
             val = self._oracle_value(mono, w_mono, wp_mono)
             if val:
                 _acc(terms, gap - self.k * self.tensor.weight(mono), val * coef)
-        return FracLaurent(TVAR, 1, terms)
+        return FracLaurent(TVAR, terms)
 
     def generator_series(self, v: GradedVector, w_mono, wp_mono) -> FracLaurent:
         """Generator-path series: Y^g(v (x) 1 ... (x) 1, z) = Y(Dv, t) with D
@@ -209,13 +209,13 @@ class TwistedModule:
             terms[-kn - k] = sum(
                 c * self._slot_mode(vm, 0, kn, w_mono).get(wp_mono, 0) for vm, c in part.terms.items()
             )
-        return FracLaurent(TVAR, 1, terms)
+        return FracLaurent(TVAR, terms)
 
     # ---- modes -----------------------------------------------------------
 
     def _matrix_series(self, u: GradedVector, w: GradedVector, wp: GradedVector) -> FracLaurent:
         # <Y^g(u, z) w, w'> for vectors w and w': pairing_series, bilinearly
-        total = FracLaurent.zero(TVAR, 1)
+        total = FracLaurent.zero(TVAR)
         for wm, wc in w.terms.items():
             for pm, pc in wp.terms.items():
                 total = total + self.pairing_series(u, wm, pm).scale(wc * pc)
@@ -360,7 +360,7 @@ def product_expansion_check(tw: TwistedModule, u: GradedVector, v_slots, w, wp, 
         expr = expr + heisenberg_correlator([part] + cv, w, wp) * RationalExpr.term(1, {0: hw - k * wt_u})
     lhs = expr.substitute(dict(enumerate([z1] + xipts)), kv, trunc=order)
 
-    rhs = FracLaurent.zero(kv, 1, trunc=order)
+    rhs = FracLaurent.zero(kv, trunc=order)
     for m in range(-order - 1, wt_u + wt_v1):
         inner = mode_action(u, m, v_slots[0])
         if inner.is_zero():
@@ -430,7 +430,7 @@ def check_equivariance(tw: TwistedModule, vectors, w_monos, wp_monos) -> bool:
                 # compare coefficient of t^e: n = -(e+k)/k, m = kn
                 exps = set(s_u.terms) | set(s_gu.terms)
                 for e in exps:
-                    m = -(int(e) + k)
+                    m = -(e + k)
                     phase = Scalar.root_of_unity(k, -m % k)
                     if s_gu.terms.get(e, 0) != phase * s_u.terms.get(e, 0):
                         return False

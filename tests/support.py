@@ -88,7 +88,6 @@ def derivative(f):
     """d/dx of a series, keeping its truncation one order lower."""
     return FracLaurent(
         f.var,
-        f.k,
         {e - 1: c * e for e, c in f.terms.items() if e != 0},
         None if f.trunc is None else f.trunc - 1,
     )

@@ -149,10 +149,10 @@ def test_criterion_4_propagation_oracle_equivalence():
 
 def test_criterion_5_strong_residue_fixtures():
     t0 = time.time()
-    one = FracLaurent("z", 1, {0: 1}, trunc=8)
-    onez = FracLaurent("z", 1, {0: 1, 1: 1}, trunc=8)
-    s0 = FracLaurent("z", 1, {-1: 1}, trunc=8)
-    sinf = FracLaurent("z", 1, {1: 1}, trunc=8)
+    one = FracLaurent("z", {0: 1}, trunc=8)
+    onez = FracLaurent("z", {0: 1, 1: 1}, trunc=8)
+    s0 = FracLaurent("z", {-1: 1}, trunc=8)
+    sinf = FracLaurent("z", {1: 1}, trunc=8)
     ok = residue_criterion([0, INF], [[one], [one]], 2, 4)
     ok = ok and not residue_criterion([0, INF], [[one], [onez]], 2, 4)
     ok = ok and residue_criterion([0, INF], [[s0], [sinf]], 2, 4)

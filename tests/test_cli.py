@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from voablocks import twist
+from voablocks import cli, twist
 from voablocks.cli import RunConfig, main
+from voablocks.coordchange import CoordChange
 from voablocks.scalars import Scalar
 from voablocks.series import FracLaurent
 
@@ -26,6 +27,25 @@ def test_uc_solve_rational_input(tmp_path):
     status = main(["uc-solve", "--taylor", "3/2,0,0", "--out", str(out)])
     assert status == 0
     assert _read(out).splitlines()[0] == "c0\t3/2"
+
+
+def test_uc_solve_exits_1_when_the_round_trip_disagrees(monkeypatch, capsys):
+    # the solved coefficients must give back the Taylor data they came from;
+    # a perturbed c2 first changes the z^3 coefficient, params.taylor[2]
+    argv = ["uc-solve", "--taylor", "3/2,-1/3,2,5"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    original = cli.solve_coefficients
+
+    def perturbed(taylor):
+        rho = original(taylor)
+        return CoordChange(rho.c0, [rho.cs[0], rho.cs[1] + 1, *rho.cs[2:]])
+
+    monkeypatch.setattr(cli, "solve_coefficients", perturbed)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "round trip disagrees: the solved coefficients do not give back params.taylor[2]\n"
+    )
 
 
 def test_config_round_trip():
@@ -85,6 +105,17 @@ def test_residue_check_detects_violation(tmp_path):
     status = main(["residue-check", "--config", str(path), "--out", str(out)])
     assert status == 1
     assert "FAIL" in _read(out)
+
+
+def test_residue_check_adds_repeated_exponents(tmp_path, capsys):
+    # 1 + 1 at 0 against 1 at infinity: no global section has both
+    # expansions; the second term used to overwrite the first, and it passed
+    params = {
+        "marked": ["0", "inf"],
+        "series": [[{"terms": [[0, 1, 1], [0, 1, 1]], "trunc": 8}], [_ONE]],
+    }
+    assert main(_params_config("residue-check", params=params)(tmp_path)) == 1
+    assert capsys.readouterr().out == "case\tcriterion\tverdict\ninput\tfalse\tFAIL\n"
 
 
 def test_sew_output(tmp_path):
@@ -351,6 +382,20 @@ def _propagate_with_w(w):
 
 _ONE = {"terms": [[0, 1, 1]], "trunc": 8}
 
+
+def _residue_series(series):
+    # one series at 0 against the constant 1 at infinity
+    return _params_config("residue-check", params={"marked": ["0", "inf"], "series": [[series], [_ONE]]})
+
+
+_HALF_EXPONENT = _residue_series({"terms": [[0, 1, 1], [1, 2, 1]], "trunc": 8})
+_HALF_TRUNC = _residue_series({"terms": [[0, 1, 1]], "trunc": "15/2"})
+_SERIES_K = _residue_series({"k": 2, "terms": [[0, 1, 1]], "trunc": 8})
+# the golden propagate config with "coef" misspelled on its first insertion
+_MISSPELLED_COEF = _params_config(
+    "propagate", points=["1/2", "2"], params={"insertions": [[{"monomial": [1], "coef": "5"}], [{"monomial": [1]}]]}
+)
+
 # the primitive 4th and 3rd roots of unity: scalars of two cyclotomic fields
 # that no computation may mix
 _ZETA4 = {"cyc": {"k": 4, "vec": [[0, 1], [1, 1]]}}
@@ -421,6 +466,10 @@ def _negative_index_bound(tmp_path):
         _params_config("propagate", cutoffs={"l": 30}, points=["1/2"], params={"insertions": [[{"monomial": [1]}]]}),
         _params_config("jacobi-check", algebra={"kind": "heisenberg", "extra": 1}),
         _params_config("jacobi-check", algebra={"kind": "heisenberg", "momentm": "2/3"}),
+        _HALF_EXPONENT,
+        _HALF_TRUNC,
+        _SERIES_K,
+        _MISSPELLED_COEF,
     ],
     ids=[
         "malformed-json", "degenerate-taylor", "unordered-points", "missing-config", "negative-grade", "zero-k",
@@ -433,6 +482,7 @@ def _negative_index_bound(tmp_path):
         "taylor-not-list", "taylor-string", "mixed-fields-insertion-and-wp", "mixed-fields-u-and-w",
         "mixed-fields-in-one-vector", "boolean-k", "boolean-cutoff", "boolean-point", "boolean-rat-coeff",
         "boolean-threads", "boolean-cyc-order", "unknown-cutoff", "unknown-algebra-field", "misspelled-momentum",
+        "fractional-exponent", "fractional-trunc", "series-k-key", "misspelled-coeff",
     ],
 )
 def test_bad_input_gives_one_line_and_exit_2(argv_for, tmp_path, capsys):
@@ -460,6 +510,20 @@ def test_unknown_algebra_or_cutoff_field_is_named(tmp_path, capsys):
     ):
         assert main(_params_config("jacobi-check", **fields)(tmp_path)) == 2
         assert capsys.readouterr().err == f"config error at {path}: unknown field\n"
+
+
+def test_fractional_or_unknown_series_and_vector_fields_are_named(tmp_path, capsys):
+    # a z^(1/2) term or a "k" key used to reach the criterion and report a
+    # re-expansion mismatch, a trunc of 15/2 was floored to 7, and a
+    # misspelled "coef" left the coefficient at 1
+    for argv_for, message in (
+        (_HALF_EXPONENT, "params.series[0].terms[1]: expected an integer, got 1/2"),
+        (_HALF_TRUNC, "params.series[0].trunc: expected an integer, got 15/2"),
+        (_SERIES_K, "params.series[0].k: unknown field"),
+        (_MISSPELLED_COEF, "params.insertions[0][0].coef: unknown field"),
+    ):
+        assert main(argv_for(tmp_path)) == 2
+        assert capsys.readouterr().err == f"config error at {message}\n"
 
 
 def test_residue_check_reads_a_zero_truncation_order(tmp_path, capsys):

@@ -78,7 +78,7 @@ def test_series_valued_coefficients_are_refused():
     # a coefficient is an exact number, so a Laurent series in a formal
     # parameter is refused when the change is built
     s = FracLaurent.monomial("s", -1, rat(1, 2))
-    for args in ((s,), (1, [s]), (1, [0, FracLaurent("s", 1, {}, trunc=2)])):
+    for args in ((s,), (1, [s]), (1, [0, FracLaurent("s", {}, trunc=2)])):
         with pytest.raises(TypeError):
             CoordChange(*args)
     with pytest.raises(TypeError):
@@ -158,7 +158,7 @@ def test_cocycle_condition():
                 data = {1: rat(rng.randint(1, 3))}
                 for e in range(2, 5):
                     data[e] = rat(rng.randint(-2, 2), rng.randint(1, 2))
-                f = FracLaurent("zeta", 1, data)
+                f = FracLaurent("zeta", data)
                 if not derivative(f).evaluate(p).is_zero():
                     return f
 
@@ -198,8 +198,8 @@ def test_kth_root_shift_matches_chart_transition():
     # the k-th-root shift at a numeric point is the zeta vs zeta^k transition
     for k in (2, 3):
         p = rat(2, 5)
-        zk = FracLaurent("zeta", 1, {k: 1})
-        z1 = FracLaurent("zeta", 1, {1: 1})
+        zk = FracLaurent("zeta", {k: 1})
+        z1 = FracLaurent("zeta", {1: 1})
         geo = chart_transition(z1, zk, p, 6)
         direct = kth_root_shift(k, 6, p)
         assert geo == direct

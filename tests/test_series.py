@@ -10,67 +10,68 @@ from voablocks.series import FracLaurent, TruncationError, binomial_expand
 
 
 def test_monomial_cancellation():
-    z = FracLaurent.monomial("z", 1, 1, 1)
+    z = FracLaurent.monomial("z", 1, 1)
     zi = FracLaurent.monomial("z", -1)
     assert z * zi == FracLaurent.one("z")
 
 
 def test_telescoping_product():
     N = 7
-    one_minus = FracLaurent("z", 1, {0: 1, 1: -1})
-    geom = FracLaurent("z", 1, {m: 1 for m in range(N + 1)})
+    one_minus = FracLaurent("z", {0: 1, 1: -1})
+    geom = FracLaurent("z", {m: 1 for m in range(N + 1)})
     prod = one_minus * geom
-    assert prod == FracLaurent("z", 1, {0: 1, N + 1: -1})
+    assert prod == FracLaurent("z", {0: 1, N + 1: -1})
 
 
-def test_half_integer_lattice_product():
-    t = FracLaurent.monomial("t", 1, 1, 2)
-    th = FracLaurent.monomial("t", Fraction(1, 2))
-    assert (th + t) * (th - t) == FracLaurent("t", 2, {1: 1, 2: -1})
-
-
-def test_lattice_membership_enforced():
-    with pytest.raises(ValueError):
-        FracLaurent("z", 2, {Fraction(1, 3): 1})
+@pytest.mark.parametrize(
+    "bad", [Fraction(1, 3), Fraction(2), 1.0, True], ids=["one-third", "integral-fraction", "float", "bool"]
+)
+def test_exponents_and_truncation_orders_are_ints(bad):
+    # refused like a float or bool coefficient in scalars.stored; an
+    # integral Fraction is refused too, not converted
+    with pytest.raises(TypeError):
+        FracLaurent("z", {bad: 1})
+    with pytest.raises(TypeError):
+        FracLaurent("z", {0: 1}, trunc=bad)
 
 
 def test_residue():
-    f = FracLaurent("z", 1, {-1: 3, 0: 5, 1: 1})
+    f = FracLaurent("z", {-1: 3, 0: 5, 1: 1})
     assert f.residue() == Scalar.integer(3)
     assert FracLaurent.monomial("z", -2).residue() == Scalar.integer(0)
     # expansion of 1/(z(1-z)) at 0; partial fractions 1/z + 1/(1-z)
-    f = FracLaurent("z", 1, {m: 1 for m in range(-1, 9)}, trunc=9)
+    f = FracLaurent("z", {m: 1 for m in range(-1, 9)}, trunc=9)
     assert f.residue() == Scalar.integer(1)
 
 
 def test_residue_beyond_truncation_raises():
-    f = FracLaurent("z", 1, {-3: 1}, trunc=-2)
+    f = FracLaurent("z", {-3: 1}, trunc=-2)
     with pytest.raises(TruncationError):
         f.residue()
 
 
 def test_compose_identity():
-    ident = FracLaurent("z", 1, {1: 1})
-    g = FracLaurent("z", 1, {1: 2, 2: -1, 5: Fraction(1, 3)})
+    ident = FracLaurent("z", {1: 1})
+    g = FracLaurent("z", {1: 2, 2: -1, 5: Fraction(1, 3)})
     assert ident.compose(g, 8) == g.truncate(8)
 
 
 def test_compose_hand_expansion():
-    f = FracLaurent("z", 1, {1: 1, 2: 1})
+    f = FracLaurent("z", {1: 1, 2: 1})
     out = f.compose(f, 10)
-    assert out == FracLaurent("z", 1, {1: 1, 2: 2, 3: 2, 4: 1}, trunc=10)
+    assert out == FracLaurent("z", {1: 1, 2: 2, 3: 2, 4: 1}, trunc=10)
 
 
 def test_compose_inverse_pair():
     order = 12
-    g = FracLaurent("z", 1, {m: 1 for m in range(1, order)})           # z/(1-z)
-    h = FracLaurent("z", 1, {m: (-1) ** (m + 1) for m in range(1, order)})  # z/(1+z)
-    assert g.compose(h, order - 1) == FracLaurent("z", 1, {1: 1}, trunc=order - 1)
+    g = FracLaurent("z", {m: 1 for m in range(1, order)})           # z/(1-z)
+    h = FracLaurent("z", {m: (-1) ** (m + 1) for m in range(1, order)})  # z/(1+z)
+    assert g.compose(h, order - 1) == FracLaurent("z", {1: 1}, trunc=order - 1)
 
 
 def test_compose_requires_positive_valuation():
-    f = FracLaurent("z", 1, {1: 1})
-    bad = FracLaurent("z", 1, {0: 1, 1: 1})
+    f = FracLaurent("z", {1: 1})
+    bad = FracLaurent("z", {0: 1, 1: 1})
     with pytest.raises(ValueError):
         f.compose(bad, 5)
 
@@ -80,7 +81,7 @@ def _random_series(rng, var="z", span=(-2, 4), terms=4, trunc=None):
     for _ in range(terms):
         e = rng.randint(*span)
         data[e] = Scalar.rational(rng.randint(-5, 5), rng.randint(1, 4))
-    return FracLaurent(var, 1, data, trunc)
+    return FracLaurent(var, data, trunc)
 
 
 def test_ring_axioms_randomized():
@@ -108,7 +109,7 @@ def test_compose_associativity_randomized():
             data = {1: Scalar.integer(rng.randint(1, 3))}
             for e in range(2, 6):
                 data[e] = Scalar.rational(rng.randint(-3, 3), rng.randint(1, 3))
-            return FracLaurent("z", 1, data)
+            return FracLaurent("z", data)
 
         f, g, h = mk(), mk(), mk()
         lhs = f.compose(g, order).compose(h, order)
@@ -117,8 +118,8 @@ def test_compose_associativity_randomized():
 
 
 def test_truncation_propagation():
-    a = FracLaurent("z", 1, {0: 1, 1: 1}, trunc=3)
-    b = FracLaurent("z", 1, {2: 1})
+    a = FracLaurent("z", {0: 1, 1: 1}, trunc=3)
+    b = FracLaurent("z", {2: 1})
     prod = a * b
     assert prod.trunc == Fraction(5)
     with pytest.raises(TruncationError):
@@ -126,7 +127,7 @@ def test_truncation_propagation():
 
 
 def test_truncated_zeros_multiply_to_a_truncated_zero():
-    prod = FracLaurent("x", 1, {}, trunc=3) * FracLaurent("x", 1, {}, trunc=2)
+    prod = FracLaurent("x", {}, trunc=3) * FracLaurent("x", {}, trunc=2)
     assert prod.is_zero()
     assert prod.trunc == Fraction(5)
 
@@ -136,7 +137,7 @@ _exact_series = st.dictionaries(
     st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool),
     min_size=1,
     max_size=4,
-).map(lambda terms: FracLaurent("z", 1, terms))
+).map(lambda terms: FracLaurent("z", terms))
 _cut = st.none() | st.integers(-4, 8)
 
 
@@ -164,7 +165,7 @@ def test_inverse_of_monomial_is_exact():
 
 
 def test_inverse_of_series():
-    f = FracLaurent("z", 1, {0: 1, 1: -1})
+    f = FracLaurent("z", {0: 1, 1: -1})
     inv = f.inverse(order=7)
     assert all(inv.coeff(m) == Scalar.integer(1) for m in range(7))
     assert (f * inv).truncate(7) == FracLaurent.one("z").truncate(7)
@@ -173,15 +174,15 @@ def test_inverse_of_series():
 
 
 def test_reverse():
-    g = FracLaurent("z", 1, {m: 1 for m in range(1, 12)})
+    g = FracLaurent("z", {m: 1 for m in range(1, 12)})
     back = g.truncate(12).reverse(8)
-    expect = FracLaurent("z", 1, {m: (-1) ** (m + 1) for m in range(1, 9)})
+    expect = FracLaurent("z", {m: (-1) ** (m + 1) for m in range(1, 9)})
     assert back == expect
 
 
 def test_binomial_expand_sqrt():
     # (1 + u)^(1/2) with u = z
-    rel = FracLaurent("z", 1, {1: 1})
+    rel = FracLaurent("z", {1: 1})
     s = binomial_expand(Scalar.integer(1), rel, Fraction(1, 2), 4)
     assert s.coeff(0) == Scalar.integer(1)
     assert s.coeff(1) == Scalar.rational(1, 2)
@@ -193,9 +194,9 @@ def test_binomial_expand_sqrt():
 def test_binomial_expand_claims_no_unknown_terms():
     # rel = 0 + O(z^2): its terms from z^2 on are unknown, and so are those
     # of every power C(1/2, m) rel^m
-    rel = FracLaurent("z", 1, {}, trunc=2)
+    rel = FracLaurent("z", {}, trunc=2)
     s = binomial_expand(Scalar.integer(1), rel, Fraction(1, 2), 5)
-    assert s == FracLaurent("z", 1, {0: 1}, trunc=2)
+    assert s == FracLaurent("z", {0: 1}, trunc=2)
 
 
 def test_geometric_expansion_inverts_one_plus_rel_randomized():
@@ -205,20 +206,19 @@ def test_geometric_expansion_inverts_one_plus_rel_randomized():
     for _ in range(60):
         rel = _random_series(rng, span=(1, 5), trunc=rng.choice([None, 2, 4, 7]))
         if rng.random() < 0.25:
-            rel = FracLaurent("z", 1, {}, trunc=rng.randint(1, 6))
+            rel = FracLaurent("z", {}, trunc=rng.randint(1, 6))
         order = rng.randint(0, 8)
         inv = binomial_expand(Scalar.integer(1), rel, -1, order)
         assert inv.trunc <= order
         assert (inv * (1 + rel)).truncate(inv.trunc) == FracLaurent.one("z").truncate(inv.trunc)
 
 
-def test_evaluate_and_json():
-    f = FracLaurent("z", 1, {-1: Scalar.rational(1, 2), 2: Scalar.root_of_unity(3)})
+def test_evaluate():
+    f = FracLaurent("z", {-1: Scalar.rational(1, 2), 2: Scalar.root_of_unity(3)})
     x = Scalar.rational(2, 3)
     val = f.evaluate(x)
     expect = Scalar.rational(1, 2) * x**-1 + Scalar.root_of_unity(3) * x**2
     assert val == expect
-    assert FracLaurent.from_json(f.to_json()) == f
     g = f.truncate(5)
     with pytest.raises(TruncationError):
         g.evaluate(x)

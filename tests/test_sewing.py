@@ -240,7 +240,7 @@ def test_sewn_expansion_reaches_exactly_the_requested_truncation(vs_a, za, vs_b,
     # (q z_A, constant z_B): the expansion is known below q^T, and widening
     # it changes nothing there
     points = {i: FracLaurent.monomial("q", 1, z) for i, z in enumerate(za)}
-    points.update({len(za) + j: FracLaurent("q", 1, {0: z}) for j, z in enumerate(zb)})
+    points.update({len(za) + j: FracLaurent("q", {0: z}) for j, z in enumerate(zb)})
     expr = heisenberg_correlator(vs_a + vs_b, st(W, (1,)), st(WD, (1,)))
     for T in (-2, 0, 3, 9):
         got = expr.substitute(points, "q", trunc=T)
@@ -249,14 +249,14 @@ def test_sewn_expansion_reaches_exactly_the_requested_truncation(vs_a, za, vs_b,
 
 
 def test_converge_diag_geometric():
-    geo = FracLaurent("q", 1, {g: rat(1, 3**g) for g in range(25)}, trunc=25)
+    geo = FracLaurent("q", {g: rat(1, 3**g) for g in range(25)}, trunc=25)
     rep = converge_diag(geo, rat(1, 2))
     assert abs(rep["radius_estimate"] - 3.0) / 3.0 < 0.05
     assert rep["ratios"][-1] == pytest.approx(1 / 6, rel=1e-9)
 
 
 def test_converge_diag_zero_tail():
-    poly = FracLaurent("q", 1, {0: 1, 1: 1}, trunc=30)
+    poly = FracLaurent("q", {0: 1, 1: 1}, trunc=30)
     assert converge_diag(poly, rat(1, 2))["radius_estimate"] == float("inf")
 
 
